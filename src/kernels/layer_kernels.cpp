@@ -1,6 +1,7 @@
 #include "kernels/layer_kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -250,56 +251,134 @@ void dispatch_add_rows(bool half, float* __restrict__ acc,
   add_rows(acc, rows, n_rows, out_c);
 }
 
+/// Hoisted weight-row pointers gathered into a fixed on-stack chunk that is
+/// added into the accumulator whenever it fills. Each flush continues every
+/// element's add chain in gather order, so chunking leaves the currents
+/// bit-identical to one add over the whole list — and no kernel needs a
+/// shared row arena, which keeps concurrent row tiles of one lane free of
+/// shared mutable state.
+class RowGather {
+ public:
+  RowGather(const snn::LayerWeights& weights, int out_c)
+      : half_(use_half_rows(weights, out_c)),
+        out_c_(out_c),
+        base_(half_ ? reinterpret_cast<const char*>(weights.half.data())
+                    : reinterpret_cast<const char*>(weights.v.data())),
+        row_bytes_(static_cast<std::size_t>(out_c) *
+                   (half_ ? sizeof(std::uint16_t) : sizeof(float))) {}
+
+  /// Start gathering into the accumulator row `acc`.
+  void begin(float* acc) {
+    acc_ = acc;
+    n_ = 0;
+  }
+  /// Queue weight row `r` (a fan-in index).
+  void add(std::size_t r) {
+    rows_[n_++] = base_ + r * row_bytes_;
+    if (n_ == kChunk) flush();
+  }
+  void flush() {
+    if (n_ == 0) return;
+    dispatch_add_rows(half_, acc_, rows_.data(), n_, out_c_);
+    n_ = 0;
+  }
+  std::size_t row_bytes() const { return row_bytes_; }
+
+ private:
+  /// A multiple of add_rows' four-row sweep, so only a receptive field's
+  /// last chunk has a remainder.
+  static constexpr std::size_t kChunk = 128;
+  const bool half_;
+  const int out_c_;
+  const char* const base_;
+  const std::size_t row_bytes_;
+  float* acc_ = nullptr;
+  std::size_t n_ = 0;
+  std::array<const void*, kChunk> rows_{};
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Functional passes
 // ---------------------------------------------------------------------------
 
-void conv_functional(const snn::LayerSpec& spec,
-                     const snn::LayerWeights& weights,
-                     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
+void begin_row_tiles(const snn::LayerSpec& spec, const snn::Tensor& membrane,
                      KernelScratch& scratch) {
+  const int oh = spec.out_h(), ow = spec.out_w();
+  SPK_CHECK(membrane.h == oh && membrane.w == ow && membrane.c == spec.out_c,
+            spec.name << ": membrane shape mismatch");
+  scratch.currents.reshape(oh, ow, spec.out_c);
+  scratch.run.out_spikes.reshape(oh, ow, spec.out_c);
+}
+
+std::size_t conv_functional_rows(const snn::LayerSpec& spec,
+                                 const snn::LayerWeights& weights,
+                                 const compress::CsrIfmap& ifmap,
+                                 snn::Tensor& membrane, KernelScratch& scratch,
+                                 int oy0, int oy1) {
   SPK_CHECK(ifmap.h() == spec.in_h && ifmap.w() == spec.in_w &&
                 ifmap.c() == spec.in_c,
             "conv " << spec.name << ": ifmap shape mismatch");
   const int k = spec.k;
-  const int oh = spec.out_h(), ow = spec.out_w();
-  const int out_c = spec.out_c;
-
+  const int ow = spec.out_w();
   snn::Tensor& currents = scratch.currents;
-  currents.reshape(oh, ow, out_c);
-  std::fill(currents.v.begin(), currents.v.end(), 0.0f);
-
-  const bool half = use_half_rows(weights, out_c);
-  const char* wbase = half
-                          ? reinterpret_cast<const char*>(weights.half.data())
-                          : reinterpret_cast<const char*>(weights.v.data());
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(out_c) *
-      (half ? sizeof(std::uint16_t) : sizeof(float));
+  const auto row = static_cast<std::ptrdiff_t>(ow) * spec.out_c;
+  std::fill(currents.v.begin() + oy0 * row, currents.v.begin() + oy1 * row,
+            0.0f);
   const std::size_t in_c = static_cast<std::size_t>(weights.in_c);
-  std::vector<const void*>& rows = scratch.rows;
-  for (int oy = 0; oy < oh; ++oy) {
+  RowGather rows(weights, spec.out_c);
+  for (int oy = oy0; oy < oy1; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
-      // Hoist the weight-row pointers of this receptive field, in the same
-      // (kh, kw, ci) order the reference walks them.
-      rows.clear();
+      // This receptive field's weight rows, in the same (kh, kw, ci) order
+      // the reference walks them.
+      rows.begin(&currents.at(oy, ox, 0));
       for (int kh = 0; kh < k; ++kh) {
         for (int kw = 0; kw < k; ++kw) {
           const std::size_t base =
               (static_cast<std::size_t>(kh) * k + kw) * in_c;
           for (std::uint16_t ci : ifmap.at(oy + kh, ox + kw)) {
-            rows.push_back(wbase + (base + ci) * row_bytes);
+            rows.add(base + ci);
           }
         }
       }
-      dispatch_add_rows(half, &currents.at(oy, ox, 0), rows.data(),
-                        rows.size(), out_c);
+      rows.flush();
     }
   }
-  scratch.run.out_nnz =
-      snn::lif_step_into(spec.lif, currents, membrane, scratch.run.out_spikes);
+  return snn::lif_step_rows(spec.lif, currents, membrane,
+                            scratch.run.out_spikes, oy0, oy1);
+}
+
+std::size_t encode_functional_rows(const snn::LayerSpec& spec,
+                                   const snn::LayerWeights& weights,
+                                   const snn::Tensor& padded_image,
+                                   snn::Tensor& membrane,
+                                   KernelScratch& scratch, int oy0, int oy1) {
+  SPK_CHECK(padded_image.h == spec.in_h && padded_image.w == spec.in_w &&
+                padded_image.c == spec.in_c,
+            "encode " << spec.name << ": input shape mismatch");
+  snn::Reference::conv_currents_dense_rows(padded_image, weights,
+                                           scratch.currents, oy0, oy1);
+  return snn::lif_step_rows(spec.lif, scratch.currents, membrane,
+                            scratch.run.out_spikes, oy0, oy1);
+}
+
+void conv_functional(const snn::LayerSpec& spec,
+                     const snn::LayerWeights& weights,
+                     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
+                     KernelScratch& scratch) {
+  begin_row_tiles(spec, membrane, scratch);
+  scratch.run.out_nnz = conv_functional_rows(spec, weights, ifmap, membrane,
+                                             scratch, 0, spec.out_h());
+}
+
+void encode_functional(const snn::LayerSpec& spec,
+                       const snn::LayerWeights& weights,
+                       const snn::Tensor& padded_image, snn::Tensor& membrane,
+                       KernelScratch& scratch) {
+  begin_row_tiles(spec, membrane, scratch);
+  scratch.run.out_nnz = encode_functional_rows(
+      spec, weights, padded_image, membrane, scratch, 0, spec.out_h());
 }
 
 void fc_functional(const snn::LayerSpec& spec, const snn::LayerWeights& weights,
@@ -307,45 +386,26 @@ void fc_functional(const snn::LayerSpec& spec, const snn::LayerWeights& weights,
                    KernelScratch& scratch) {
   SPK_CHECK(ifmap.h() == 1 && ifmap.w() == 1 && ifmap.c() == spec.in_c,
             "fc " << spec.name << ": input shape mismatch");
-  const int out_c = spec.out_c;
   snn::Tensor& currents = scratch.currents;
-  currents.reshape(1, 1, out_c);
+  currents.reshape(1, 1, spec.out_c);
   std::fill(currents.v.begin(), currents.v.end(), 0.0f);
-
-  const bool half = use_half_rows(weights, out_c);
-  const char* wbase = half
-                          ? reinterpret_cast<const char*>(weights.half.data())
-                          : reinterpret_cast<const char*>(weights.v.data());
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(out_c) *
-      (half ? sizeof(std::uint16_t) : sizeof(float));
-  std::vector<const void*>& rows = scratch.rows;
-  rows.clear();
-  for (std::uint16_t ci : ifmap.at(0, 0)) {
-    rows.push_back(wbase + static_cast<std::size_t>(ci) * row_bytes);
-  }
-  dispatch_add_rows(half, currents.v.data(), rows.data(), rows.size(), out_c);
+  RowGather rows(weights, spec.out_c);
+  rows.begin(currents.v.data());
+  for (std::uint16_t ci : ifmap.at(0, 0)) rows.add(ci);
+  rows.flush();
   scratch.run.out_nnz =
       snn::lif_step_into(spec.lif, currents, membrane, scratch.run.out_spikes);
 }
 
 void fc_functional_batch(const snn::LayerSpec& spec,
                          const snn::LayerWeights& weights,
-                         std::span<const FcBatchLane> lanes) {
-  const int out_c = spec.out_c;
-  const bool half = use_half_rows(weights, out_c);
-  const char* wbase = half
-                          ? reinterpret_cast<const char*>(weights.half.data())
-                          : reinterpret_cast<const char*>(weights.v.data());
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(out_c) *
-      (half ? sizeof(std::uint16_t) : sizeof(float));
-  for (const FcBatchLane& lane : lanes) {
+                         std::span<const LayerLane> lanes) {
+  for (const LayerLane& lane : lanes) {
     SPK_CHECK(lane.ifmap->h() == 1 && lane.ifmap->w() == 1 &&
                   lane.ifmap->c() == spec.in_c,
               "fc " << spec.name << ": input shape mismatch");
     snn::Tensor& currents = lane.scratch->main.currents;
-    currents.reshape(1, 1, out_c);
+    currents.reshape(1, 1, spec.out_c);
     std::fill(currents.v.begin(), currents.v.end(), 0.0f);
   }
 
@@ -355,8 +415,10 @@ void fc_functional_batch(const snn::LayerSpec& spec,
   // space, so each lane's rows are still added in exactly the order its
   // serial fc_functional call would use — bit-identical currents.
   constexpr std::size_t kBandBytes = 32 * 1024;
+  RowGather rows(weights, spec.out_c);
   const int band_rows = std::max<int>(
-      1, static_cast<int>(kBandBytes / std::max<std::size_t>(row_bytes, 1)));
+      1, static_cast<int>(kBandBytes /
+                          std::max<std::size_t>(rows.row_bytes(), 1)));
   // Per-lane position in its sorted index span. thread_local so the steady
   // state reuses capacity (the batch call never nests or recurses); every
   // other buffer lives in the lanes' own scratch arenas.
@@ -368,37 +430,17 @@ void fc_functional_batch(const snn::LayerSpec& spec,
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       const auto span = lanes[i].ifmap->at(0, 0);
       std::size_t& cur = cursors[i];
-      std::vector<const void*>& rows = lanes[i].scratch->main.rows;
-      rows.clear();
-      while (cur < span.size() && span[cur] < c_hi) {
-        rows.push_back(wbase +
-                       static_cast<std::size_t>(span[cur]) * row_bytes);
-        ++cur;
-      }
-      if (!rows.empty()) {
-        dispatch_add_rows(half, lanes[i].scratch->main.currents.v.data(),
-                          rows.data(), rows.size(), out_c);
-      }
+      rows.begin(lanes[i].scratch->main.currents.v.data());
+      for (; cur < span.size() && span[cur] < c_hi; ++cur) rows.add(span[cur]);
+      rows.flush();
     }
   }
 
-  for (const FcBatchLane& lane : lanes) {
+  for (const LayerLane& lane : lanes) {
     KernelScratch& ks = lane.scratch->main;
     ks.run.out_nnz = snn::lif_step_into(spec.lif, ks.currents, *lane.membrane,
                                         ks.run.out_spikes);
   }
-}
-
-void encode_functional(const snn::LayerSpec& spec,
-                       const snn::LayerWeights& weights,
-                       const snn::Tensor& padded_image, snn::Tensor& membrane,
-                       KernelScratch& scratch) {
-  SPK_CHECK(padded_image.h == spec.in_h && padded_image.c == spec.in_c,
-            "encode: input shape mismatch");
-  snn::Reference::conv_currents_dense_into(padded_image, weights,
-                                           scratch.currents);
-  scratch.run.out_nnz = snn::lif_step_into(spec.lif, scratch.currents,
-                                           membrane, scratch.run.out_spikes);
 }
 
 // ---------------------------------------------------------------------------

@@ -99,15 +99,42 @@ void encode_functional(const snn::LayerSpec& spec,
                        const snn::Tensor& padded_image, snn::Tensor& membrane,
                        KernelScratch& scratch);
 
-/// One in-flight sample's borrowed buffers for a batch-scope FC call (see
-/// fc_functional_batch and ExecutionBackend::run_fc_batch): its compressed
-/// input, its persistent membrane, and the per-layer scratch arena its
-/// results land in.
-struct FcBatchLane {
+// --- row tiles (conv and encode layers) ---------------------------------------
+// The same functional passes split by output row, so several threads can
+// share one sample's layer: begin_row_tiles() shapes the output buffers once,
+// then each *_rows call accumulates and fires output rows [oy0, oy1) only.
+// Tiles write disjoint rows, and every output element is still produced by
+// one call adding its receptive-field rows in (kh, kw, ci) order, so any row
+// split is bit-identical to the whole-layer pass. The calls return the
+// tile's spike count; the caller sums them into scratch.run.out_nnz.
+
+/// Shape `scratch.currents` / `scratch.run.out_spikes` for the layer's output
+/// (checks that `membrane` has that shape).
+void begin_row_tiles(const snn::LayerSpec& spec, const snn::Tensor& membrane,
+                     KernelScratch& scratch);
+std::size_t conv_functional_rows(const snn::LayerSpec& spec,
+                                 const snn::LayerWeights& weights,
+                                 const compress::CsrIfmap& ifmap,
+                                 snn::Tensor& membrane, KernelScratch& scratch,
+                                 int oy0, int oy1);
+std::size_t encode_functional_rows(const snn::LayerSpec& spec,
+                                   const snn::LayerWeights& weights,
+                                   const snn::Tensor& padded_image,
+                                   snn::Tensor& membrane,
+                                   KernelScratch& scratch, int oy0, int oy1);
+
+/// One in-flight sample's borrowed buffers for a batch-scope layer call (see
+/// ExecutionBackend::run_batch and fc_functional_batch): its layer input —
+/// the compressed ifmap, or an encode layer's padded dense image — its
+/// persistent membrane, and the per-layer scratch arena its results land in.
+struct LayerLane {
   const compress::CsrIfmap* ifmap = nullptr;
   snn::Tensor* membrane = nullptr;
   LayerScratch* scratch = nullptr;
+  const snn::Tensor* image = nullptr;
 };
+/// fc_functional_batch's name for a lane (only the ifmap input is used).
+using FcBatchLane = LayerLane;
 
 /// Batch-scope FC functional pass: one call executes the layer for every
 /// lane in segment-major order — the fan-in row space is walked in
@@ -119,7 +146,7 @@ struct FcBatchLane {
 /// own scratch/membrane; fills lane.scratch->main.run.out_spikes / out_nnz.
 void fc_functional_batch(const snn::LayerSpec& spec,
                          const snn::LayerWeights& weights,
-                         std::span<const FcBatchLane> lanes);
+                         std::span<const LayerLane> lanes);
 
 // --- timing passes ----------------------------------------------------------
 // Mechanistic cost model over the spikes produced by the functional pass.

@@ -1,5 +1,5 @@
 // Scratch arenas for the simulation hot path. Every buffer a layer execution
-// needs — accumulator planes, spike maps, CSR index/row buffers, timing-pass
+// needs — accumulator planes, spike maps, CSR index buffers, timing-pass
 // task vectors — lives in one of these structs, owned by snn::NetworkState
 // (one LayerScratch per layer per state) and *borrowed* by the engine,
 // backends and kernels for the duration of a call. Buffers are grown on first
@@ -34,10 +34,9 @@ struct LayerRun {
 };
 
 /// Everything one kernel invocation (conv / FC / encode) allocates: the
-/// functional-pass accumulator plane, the hoisted weight-row pointer list,
-/// the timing-pass task costs and group spike counts, and the schedule
-/// simulation buffers. Reused verbatim across layers of compatible shape;
-/// grown (never shrunk) otherwise.
+/// functional-pass accumulator plane, the timing-pass task costs and group
+/// spike counts, and the schedule simulation buffers. Reused verbatim across
+/// layers of compatible shape; grown (never shrunk) otherwise.
 struct KernelScratch {
   LayerRun run;                    ///< kernel output, reused across calls
   /// Batch-level weight-tile reuse: true once this (state, layer) lane — one
@@ -47,10 +46,6 @@ struct KernelScratch {
   /// membrane reset between samples is exactly when the pin pays off.
   bool weights_warm = false;
   snn::Tensor currents;            ///< synaptic-current accumulator plane
-  /// Hoisted weight-row pointers of one receptive field. Type-erased: they
-  /// point at float32 rows or (on the half-precision fast path) binary16
-  /// rows; the add loop that fills them knows which.
-  std::vector<const void*> rows;
   std::vector<double> tasks;       ///< timing pass: per-RF / per-group costs
   std::vector<double> group_counts;  ///< per-position SIMD-group spike counts
   ScheduleResult sched;            ///< steal/static schedule simulation

@@ -1,11 +1,14 @@
 #include "runtime/backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "runtime/backend_cycle.hpp"
 #include "runtime/backend_sharded.hpp"
+#include "runtime/worker_pool.hpp"
 #include "snn/state.hpp"
 
 namespace spikestream::runtime {
@@ -130,12 +133,24 @@ void CostMemo::insert(const Key& key, const kernels::LayerRun& run) {
   s->used = true;
 }
 
-void ExecutionBackend::run_fc_batch(const snn::LayerSpec& spec,
-                                    const snn::LayerWeights& weights,
-                                    std::span<const FcBatchLane> lanes) const {
-  for (const FcBatchLane& lane : lanes) {
-    run_fc(spec, weights, *lane.ifmap, *lane.membrane, *lane.scratch);
-  }
+void ExecutionBackend::run_batch(const snn::LayerSpec& spec,
+                                 const snn::LayerWeights& weights,
+                                 std::span<const LayerLane> lanes,
+                                 WorkerPool* pool) const {
+  for_each_index(pool, lanes.size(), [&](std::size_t i) {
+    const LayerLane& lane = lanes[i];
+    switch (spec.kind) {
+      case snn::LayerKind::kEncodeConv:
+        run_encode(spec, weights, *lane.image, *lane.membrane, *lane.scratch);
+        break;
+      case snn::LayerKind::kConv:
+        run_conv(spec, weights, *lane.ifmap, *lane.membrane, *lane.scratch);
+        break;
+      case snn::LayerKind::kFc:
+        run_fc(spec, weights, *lane.ifmap, *lane.membrane, *lane.scratch);
+        break;
+    }
+  });
 }
 
 void ExecutionBackend::presize_state(snn::NetworkState& state,
@@ -149,8 +164,6 @@ void ExecutionBackend::presize_state(snn::NetworkState& state,
         positions * static_cast<std::size_t>(spec.in_c);
     // Input-compression arena: worst case is every input neuron spiking.
     scratch.csr.reserve(positions, in_elems);
-    // Hoisted weight-row pointers of one receptive field: k*k full streams.
-    scratch.main.rows.reserve(spec.fan_in());
   }
 }
 
@@ -168,27 +181,101 @@ std::uint64_t warm_salt(const kernels::RunOptions& opt,
   return opt.batch_weight_reuse && ks.weights_warm ? kWarmWeightsSalt : 0;
 }
 
+/// Smallest accumulate worth a row tile of its own, in weight-row element
+/// adds: a lane's layer is split only while every tile keeps at least this
+/// much work, so the pool handoff stays small next to it and tiny layers
+/// run as one tile per lane.
+constexpr double kMinTileAdds = 64.0 * 1024;
+
+/// Row tiles a wave aims to give each pool executor, so that claiming tiles
+/// dynamically evens out rows of unequal spike density.
+constexpr std::size_t kTilesPerSlot = 4;
+
+/// Output-row blocks per lane of a conv or encode wave: enough tiles to
+/// keep every pool executor busy, never fewer than kMinTileAdds of work
+/// each, never more than the layer's output rows.
+std::size_t row_blocks(const snn::LayerSpec& spec,
+                       std::span<const LayerLane> lanes,
+                       const WorkerPool* pool) {
+  const std::size_t slots =
+      pool != nullptr ? static_cast<std::size_t>(pool->slots()) : 1;
+  const std::size_t n = lanes.size();
+  if (slots <= 1 || n == 0) return 1;
+  // Element adds per lane: each input spike feeds up to k*k output
+  // positions one out_c-wide weight row each; the dense encode layer walks
+  // its whole fan-in at every output position.
+  const double row_adds = static_cast<double>(spec.k) * spec.k * spec.out_c;
+  double adds = 0;
+  for (const LayerLane& lane : lanes) {
+    adds += spec.kind == snn::LayerKind::kEncodeConv
+                ? row_adds * spec.in_c * spec.out_h() * spec.out_w()
+                : row_adds * static_cast<double>(lane.ifmap->nnz());
+  }
+  const auto affordable = static_cast<std::size_t>(
+      adds / static_cast<double>(n) / kMinTileAdds);
+  const std::size_t wanted = (kTilesPerSlot * slots + n - 1) / n;
+  return std::max<std::size_t>(
+      1, std::min({wanted, affordable,
+                   static_cast<std::size_t>(spec.out_h())}));
+}
+
 }  // namespace
+
+void AnalyticalBackend::memoized_timing(
+    const snn::LayerSpec& spec, std::size_t in_nnz, kernels::KernelScratch& ks,
+    common::FunctionRef<void()> timing) const {
+  if (!memo_) {
+    timing();
+    return;
+  }
+  const auto key =
+      memo_->make_key(spec, in_nnz, ks.run.out_nnz, warm_salt(opt_, ks));
+  if (memo_->lookup(key, ks.run)) {
+    ks.weights_warm = true;
+    return;
+  }
+  timing();
+  memo_->insert(key, ks.run);
+}
+
+void AnalyticalBackend::time_encode(const snn::LayerSpec& spec,
+                                    kernels::KernelScratch& ks) const {
+  // The dense input has no occupancy; key on the output spikes only.
+  memoized_timing(spec, 0, ks,
+                  [&] { kernels::encode_timing(spec, opt_, ks); });
+}
+
+void AnalyticalBackend::time_conv(const snn::LayerSpec& spec,
+                                  const compress::CsrIfmap& ifmap,
+                                  kernels::KernelScratch& ks) const {
+  memoized_timing(spec, ifmap.nnz(), ks,
+                  [&] { kernels::conv_timing(spec, ifmap, opt_, ks); });
+}
+
+void AnalyticalBackend::time_fc(const snn::LayerSpec& spec,
+                                const compress::CsrIfmap& ifmap,
+                                kernels::KernelScratch& ks) const {
+  memoized_timing(spec, ifmap.nnz(), ks,
+                  [&] { kernels::fc_timing(spec, ifmap, opt_, ks); });
+}
+
+const kernels::LayerRun& AnalyticalBackend::run_encode(
+    const snn::LayerSpec& spec, const snn::LayerWeights& weights,
+    const snn::Tensor& padded_image, snn::Tensor& membrane,
+    kernels::LayerScratch& scratch) const {
+  kernels::encode_functional(spec, weights, padded_image, membrane,
+                             scratch.main);
+  time_encode(spec, scratch.main);
+  return scratch.main.run;
+}
 
 const kernels::LayerRun& AnalyticalBackend::run_conv(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  kernels::KernelScratch& ks = scratch.main;
-  kernels::conv_functional(spec, weights, ifmap, membrane, ks);
-  if (memo_) {
-    const auto key = memo_->make_key(spec, ifmap.nnz(), ks.run.out_nnz,
-                                     warm_salt(opt_, ks));
-    if (memo_->lookup(key, ks.run)) {
-      ks.weights_warm = true;
-      return ks.run;
-    }
-    kernels::conv_timing(spec, ifmap, opt_, ks);
-    memo_->insert(key, ks.run);
-    return ks.run;
-  }
-  kernels::conv_timing(spec, ifmap, opt_, ks);
-  return ks.run;
+  kernels::conv_functional(spec, weights, ifmap, membrane, scratch.main);
+  time_conv(spec, ifmap, scratch.main);
+  return scratch.main.run;
 }
 
 const kernels::LayerRun& AnalyticalBackend::run_fc(
@@ -196,66 +283,72 @@ const kernels::LayerRun& AnalyticalBackend::run_fc(
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
   kernels::fc_functional(spec, weights, ifmap, membrane, scratch.main);
-  time_fc(spec, ifmap, scratch);
+  time_fc(spec, ifmap, scratch.main);
   return scratch.main.run;
 }
 
-void AnalyticalBackend::time_fc(const snn::LayerSpec& spec,
-                                const compress::CsrIfmap& ifmap,
-                                kernels::LayerScratch& scratch) const {
-  kernels::KernelScratch& ks = scratch.main;
-  if (memo_) {
-    const auto key = memo_->make_key(spec, ifmap.nnz(), ks.run.out_nnz,
-                                     warm_salt(opt_, ks));
-    if (memo_->lookup(key, ks.run)) {
-      ks.weights_warm = true;
-      return;
-    }
-    kernels::fc_timing(spec, ifmap, opt_, ks);
-    memo_->insert(key, ks.run);
+void AnalyticalBackend::run_batch(const snn::LayerSpec& spec,
+                                  const snn::LayerWeights& weights,
+                                  std::span<const LayerLane> lanes,
+                                  WorkerPool* pool) const {
+  if (spec.kind != snn::LayerKind::kFc) {
+    run_row_tiles(spec, weights, lanes, pool);
     return;
   }
-  kernels::fc_timing(spec, ifmap, opt_, ks);
-}
-
-void AnalyticalBackend::run_fc_batch(
-    const snn::LayerSpec& spec, const snn::LayerWeights& weights,
-    std::span<const FcBatchLane> lanes) const {
-  if (lanes.size() <= 1 || opt_.segment_major_lanes <= 1) {
-    ExecutionBackend::run_fc_batch(spec, weights, lanes);
+  if (lanes.size() > 1 && opt_.segment_major_lanes > 1) {
+    // Band-major functional sweep across every lane (the host-side mirror
+    // of streaming each weight band into SPM once per batch), then the
+    // usual per-lane timing pass — which charges the same deterministic
+    // amortized numbers the serial path charges.
+    kernels::fc_functional_batch(spec, weights, lanes);
+    for (const LayerLane& lane : lanes) {
+      time_fc(spec, *lane.ifmap, lane.scratch->main);
+    }
     return;
   }
-  // Band-major functional sweep across every lane (the host-side mirror of
-  // streaming each weight band into SPM once per batch), then the usual
-  // per-lane timing pass — which charges the same deterministic amortized
-  // numbers the serial path charges, so this call is bit-identical to the
-  // per-lane loop in both spikes and stats.
-  kernels::fc_functional_batch(spec, weights, lanes);
-  for (const FcBatchLane& lane : lanes) {
-    time_fc(spec, *lane.ifmap, *lane.scratch);
-  }
+  ExecutionBackend::run_batch(spec, weights, lanes, pool);
 }
 
-const kernels::LayerRun& AnalyticalBackend::run_encode(
-    const snn::LayerSpec& spec, const snn::LayerWeights& weights,
-    const snn::Tensor& padded_image, snn::Tensor& membrane,
-    kernels::LayerScratch& scratch) const {
-  kernels::KernelScratch& ks = scratch.main;
-  kernels::encode_functional(spec, weights, padded_image, membrane, ks);
-  if (memo_) {
-    // The dense input has no occupancy; key on the output spikes only.
-    const auto key =
-        memo_->make_key(spec, 0, ks.run.out_nnz, warm_salt(opt_, ks));
-    if (memo_->lookup(key, ks.run)) {
-      ks.weights_warm = true;
-      return ks.run;
-    }
-    kernels::encode_timing(spec, opt_, ks);
-    memo_->insert(key, ks.run);
-    return ks.run;
+void AnalyticalBackend::run_row_tiles(const snn::LayerSpec& spec,
+                                      const snn::LayerWeights& weights,
+                                      std::span<const LayerLane> lanes,
+                                      WorkerPool* pool) const {
+  const bool encode = spec.kind == snn::LayerKind::kEncodeConv;
+  const auto rows = static_cast<std::size_t>(spec.out_h());
+  const std::size_t blocks = row_blocks(spec, lanes, pool);
+  for (const LayerLane& lane : lanes) {
+    kernels::begin_row_tiles(spec, *lane.membrane, lane.scratch->main);
   }
-  kernels::encode_timing(spec, opt_, ks);
-  return ks.run;
+  // Spike count of every tile, lane-major. The buffer is thread_local so
+  // the steady state reuses its capacity; the tasks below reach it through
+  // `fired`, never by name (a pool thread would see its own instance).
+  static thread_local std::vector<std::size_t> fired_buf;
+  fired_buf.assign(lanes.size() * blocks, 0);
+  const std::span<std::size_t> fired(fired_buf);
+  for_each_index(pool, fired.size(), [&](std::size_t t) {
+    const LayerLane& lane = lanes[t / blocks];
+    const std::size_t b = t % blocks;
+    const int oy0 = static_cast<int>(b * rows / blocks);
+    const int oy1 = static_cast<int>((b + 1) * rows / blocks);
+    kernels::KernelScratch& ks = lane.scratch->main;
+    fired[t] = encode ? kernels::encode_functional_rows(
+                            spec, weights, *lane.image, *lane.membrane, ks,
+                            oy0, oy1)
+                      : kernels::conv_functional_rows(
+                            spec, weights, *lane.ifmap, *lane.membrane, ks,
+                            oy0, oy1);
+  });
+  for_each_index(pool, lanes.size(), [&](std::size_t i) {
+    kernels::KernelScratch& ks = lanes[i].scratch->main;
+    const auto lane_tiles = fired.subspan(i * blocks, blocks);
+    ks.run.out_nnz =
+        std::accumulate(lane_tiles.begin(), lane_tiles.end(), std::size_t{0});
+    if (encode) {
+      time_encode(spec, ks);
+    } else {
+      time_conv(spec, *lanes[i].ifmap, ks);
+    }
+  });
 }
 
 std::unique_ptr<ExecutionBackend> make_backend(

@@ -36,6 +36,7 @@
 #include <tuple>
 
 #include "arch/noc.hpp"
+#include "common/function_ref.hpp"
 #include "compress/csr_ifmap.hpp"
 #include "kernels/layer_kernels.hpp"
 #include "kernels/partition.hpp"
@@ -184,12 +185,10 @@ class CostMemo {
   mutable std::atomic<std::size_t> misses_{0};
 };
 
-/// One in-flight sample's borrowed buffers for a batch-scope FC call (see
-/// ExecutionBackend::run_fc_batch): its compressed input, its persistent
-/// membrane, and the per-layer scratch arena its results land in. Shared
-/// with the kernel layer so batch-scope calls pass the caller's lane array
-/// straight through, no per-call marshalling.
-using FcBatchLane = kernels::FcBatchLane;
+/// One in-flight sample's borrowed buffers for a batch-scope layer call (see
+/// ExecutionBackend::run_batch). Shared with the kernel layer so batch-scope
+/// calls pass the caller's lane array straight through.
+using kernels::LayerLane;
 
 class ExecutionBackend {
  public:
@@ -212,11 +211,11 @@ class ExecutionBackend {
   /// Pre-size the per-layer scratch arenas of a freshly built NetworkState
   /// for this backend's execution shape (e.g. one shard lane per planned
   /// cluster), so even the first run fans out without growing vectors. The
-  /// base implementation reserves the occupancy-dependent buffers (the CSR
-  /// index arena, the hoisted weight-row pointer list) for each layer's
-  /// zero-sparsity worst case: steady-state execution then stays allocation-
-  /// free even when a late timestep pushes occupancy to a new maximum.
-  /// Overrides should call it before adding their own shaping.
+  /// base implementation reserves the occupancy-dependent buffer (the CSR
+  /// index arena) for each layer's zero-sparsity worst case: steady-state
+  /// execution then stays allocation-free even when a late timestep pushes
+  /// occupancy to a new maximum. Overrides should call it before adding
+  /// their own shaping.
   virtual void presize_state(snn::NetworkState& state,
                              const snn::Network& net) const;
 
@@ -242,19 +241,21 @@ class ExecutionBackend {
       const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
       kernels::LayerScratch& scratch) const = 0;
 
-  // Batch-scope FC execution: run one FC layer for every lane of a lockstep
-  // batch in a single call, so a backend that understands the segment-major
-  // schedule (RunOptions::segment_major_lanes) can stream each weight band
-  // once across all lanes instead of once per sample. The contract is
-  // strict: spikes AND modeled stats must be bit-identical to calling
-  // run_fc once per lane in order — the segment-major *accounting* is
-  // per-sample deterministic (amortized batch means, charged by the timing
-  // pass whether or not this hook runs), so the hook only changes host-side
-  // execution order/locality. The default implementation is that per-lane
-  // loop; each lane's scratch/membrane must be distinct.
-  virtual void run_fc_batch(const snn::LayerSpec& spec,
-                            const snn::LayerWeights& weights,
-                            std::span<const FcBatchLane> lanes) const;
+  // Batch-scope execution: run one layer for every lane of a lockstep wave
+  // in a single call (InferenceEngine::run_layer_batch hands over every
+  // layer kind this way, inputs already compressed — `lane.image` for encode
+  // layers, `lane.ifmap` otherwise). The contract is strict: spikes AND
+  // modeled stats must be bit-identical to running each lane alone through
+  // run_encode / run_conv / run_fc — modeled accounting is per-sample
+  // deterministic (segment-major charges are amortized batch means), so a
+  // backend may change only host-side execution order, locality and
+  // parallelism. `pool` (null = the calling thread alone) is the wave's
+  // worker pool. The default runs each lane as one pool task; each lane's
+  // scratch/membrane must be distinct.
+  virtual void run_batch(const snn::LayerSpec& spec,
+                         const snn::LayerWeights& weights,
+                         std::span<const LayerLane> lanes,
+                         WorkerPool* pool) const;
 
   // One-shot conveniences (tests / benches): run with a private scratch and
   // return the result by value.
@@ -315,12 +316,14 @@ class AnalyticalBackend : public ExecutionBackend {
                                   kernels::LayerScratch& scratch)
       const override;
 
-  /// Segment-major batch-scope FC: one band-major functional sweep over all
-  /// lanes (kernels::fc_functional_batch), then the exact per-lane timing
-  /// pass — bit-identical to the per-lane default by construction.
-  void run_fc_batch(const snn::LayerSpec& spec,
-                    const snn::LayerWeights& weights,
-                    std::span<const FcBatchLane> lanes) const override;
+  /// Conv and encode layers run as (lane x output-row-block) tiles claimed
+  /// off `pool`, then each lane's timing tail; segment-major FC waves run
+  /// one band-major functional sweep over all lanes
+  /// (kernels::fc_functional_batch), then the per-lane timing tails.
+  /// Bit-identical to the per-lane default by construction.
+  void run_batch(const snn::LayerSpec& spec, const snn::LayerWeights& weights,
+                 std::span<const LayerLane> lanes,
+                 WorkerPool* pool) const override;
 
   using ExecutionBackend::run_conv;
   using ExecutionBackend::run_encode;
@@ -334,16 +337,31 @@ class AnalyticalBackend : public ExecutionBackend {
   }
 
  protected:
-  /// FC timing tail shared by run_fc and run_fc_batch: the (optionally
-  /// memoized) timing pass over the spikes the functional pass just wrote
-  /// into `scratch.main`. Virtual so the cycle-accurate backend can append
-  /// its ISS re-anchoring and batch-scope calls stay correct through one
-  /// code path.
+  // Timing tails: the (optionally memoized) timing pass over the spikes the
+  // functional pass just wrote into `ks`. Every execution path — per lane,
+  // row-tiled, band-major — ends in one of these, so the cycle-accurate
+  // backend appends its ISS re-anchoring by overriding them alone.
+  virtual void time_encode(const snn::LayerSpec& spec,
+                           kernels::KernelScratch& ks) const;
+  virtual void time_conv(const snn::LayerSpec& spec,
+                         const compress::CsrIfmap& ifmap,
+                         kernels::KernelScratch& ks) const;
   virtual void time_fc(const snn::LayerSpec& spec,
                        const compress::CsrIfmap& ifmap,
-                       kernels::LayerScratch& scratch) const;
+                       kernels::KernelScratch& ks) const;
 
  private:
+  /// Run `timing` behind the memo, keyed on the input occupancy `in_nnz`
+  /// and the output spikes already in `ks`.
+  void memoized_timing(const snn::LayerSpec& spec, std::size_t in_nnz,
+                       kernels::KernelScratch& ks,
+                       common::FunctionRef<void()> timing) const;
+  /// A conv or encode layer's functional pass as row tiles on `pool`, then
+  /// each lane's timing tail.
+  void run_row_tiles(const snn::LayerSpec& spec,
+                     const snn::LayerWeights& weights,
+                     std::span<const LayerLane> lanes, WorkerPool* pool) const;
+
   std::unique_ptr<CostMemo> memo_;
 };
 

@@ -239,17 +239,16 @@ void CycleAccurateBackend::retime(kernels::LayerRun& run, double ratio) const {
                                       st.dma_saved_bytes > 0);
 }
 
-const kernels::LayerRun& CycleAccurateBackend::run_conv(
-    const snn::LayerSpec& spec, const snn::LayerWeights& weights,
-    const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
-    kernels::LayerScratch& scratch) const {
-  AnalyticalBackend::run_conv(spec, weights, ifmap, membrane, scratch);
-  kernels::LayerRun& run = scratch.main.run;
+void CycleAccurateBackend::time_conv(const snn::LayerSpec& spec,
+                                     const compress::CsrIfmap& ifmap,
+                                     kernels::KernelScratch& ks) const {
+  AnalyticalBackend::time_conv(spec, ifmap, ks);
+  kernels::LayerRun& run = ks.run;
   if (opt_.variant == kernels::Variant::kDenseNoTc) {
     // Every window streams the full fan-in, so the representative dense
     // stream length is exact, not a mean.
     retime(run, dense_no_tc_ratio(spec.in_c));
-    return run;
+    return;
   }
   // Representative SpVA length: mean over every stream the kernel walks
   // (each of the k*k windows of every output position). Each input position
@@ -272,14 +271,13 @@ const kernels::LayerRun& CycleAccurateBackend::run_conv(
   const double n_streams =
       static_cast<double>(oh) * ow * spec.k * spec.k;
   retime(run, sparse_ratio(n_streams > 0 ? elems / n_streams : 1.0));
-  return run;
 }
 
 void CycleAccurateBackend::time_fc(const snn::LayerSpec& spec,
                                    const compress::CsrIfmap& ifmap,
-                                   kernels::LayerScratch& scratch) const {
-  AnalyticalBackend::time_fc(spec, ifmap, scratch);
-  kernels::LayerRun& run = scratch.main.run;
+                                   kernels::KernelScratch& ks) const {
+  AnalyticalBackend::time_fc(spec, ifmap, ks);
+  kernels::LayerRun& run = ks.run;
   const double segs = std::max(1, run.plan.in_segments);
   if (opt_.variant == kernels::Variant::kDenseNoTc) {
     retime(run, dense_no_tc_ratio(static_cast<double>(spec.in_c) / segs));
@@ -289,21 +287,16 @@ void CycleAccurateBackend::time_fc(const snn::LayerSpec& spec,
   retime(run, sparse_ratio(s_seg));
 }
 
-const kernels::LayerRun& CycleAccurateBackend::run_encode(
-    const snn::LayerSpec& spec, const snn::LayerWeights& weights,
-    const snn::Tensor& padded_image, snn::Tensor& membrane,
-    kernels::LayerScratch& scratch) const {
-  AnalyticalBackend::run_encode(spec, weights, padded_image, membrane,
-                                scratch);
-  kernels::LayerRun& run = scratch.main.run;
+void CycleAccurateBackend::time_encode(const snn::LayerSpec& spec,
+                                       kernels::KernelScratch& ks) const {
+  AnalyticalBackend::time_encode(spec, ks);
   const double dot_len =
       static_cast<double>(spec.k) * spec.k * spec.in_c;
   if (opt_.variant == kernels::Variant::kBaseline) {
-    retime(run, baseline_dense_ratio(dot_len));
-    return run;
+    retime(ks.run, baseline_dense_ratio(dot_len));
+    return;
   }
-  retime(run, dense_ratio(dot_len));
-  return run;
+  retime(ks.run, dense_ratio(dot_len));
 }
 
 }  // namespace spikestream::runtime

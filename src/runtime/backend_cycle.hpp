@@ -32,24 +32,10 @@ class CycleAccurateBackend : public AnalyticalBackend {
   /// never allocates — whatever occupancy trajectory the workload follows.
   void prepare(const snn::Network& net) const override;
 
-  const kernels::LayerRun& run_encode(
-      const snn::LayerSpec& spec, const snn::LayerWeights& weights,
-      const snn::Tensor& padded_image, snn::Tensor& membrane,
-      kernels::LayerScratch& scratch) const override;
-  const kernels::LayerRun& run_conv(const snn::LayerSpec& spec,
-                                    const snn::LayerWeights& weights,
-                                    const compress::CsrIfmap& ifmap,
-                                    snn::Tensor& membrane,
-                                    kernels::LayerScratch& scratch)
-      const override;
-  // run_fc and run_fc_batch are inherited from AnalyticalBackend: both
-  // funnel into the virtual time_fc tail below, which appends the ISS
-  // re-anchoring — so batch-scope segment-major execution stays calibrated
-  // through the same single code path as the per-sample one.
-
-  using ExecutionBackend::run_conv;
-  using ExecutionBackend::run_encode;
-  using ExecutionBackend::run_fc;
+  // Every execution path is inherited from AnalyticalBackend and funnels
+  // into the virtual timing tails below, which append the ISS re-anchoring —
+  // so per-lane, row-tiled and segment-major batch execution all stay
+  // calibrated through one code path.
 
   /// Measured/modeled cycle ratio for sparse SpVAs of mean length `len`
   /// (exposed for tests; cached, thread-safe).
@@ -63,10 +49,14 @@ class CycleAccurateBackend : public AnalyticalBackend {
   double baseline_dense_ratio(double len) const;
 
  protected:
-  /// Analytical FC timing (memo included) + ISS re-anchoring of the compute
-  /// critical path — the tail run_fc and run_fc_batch both call.
+  // Analytical timing (memo included) + ISS re-anchoring of the compute
+  // critical path.
+  void time_encode(const snn::LayerSpec& spec,
+                   kernels::KernelScratch& ks) const override;
+  void time_conv(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
+                 kernels::KernelScratch& ks) const override;
   void time_fc(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
-               kernels::LayerScratch& scratch) const override;
+               kernels::KernelScratch& ks) const override;
 
  private:
   // Bucket-index twins of the public ratio lookups: prepare() iterates the

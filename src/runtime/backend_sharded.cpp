@@ -463,9 +463,6 @@ void ShardedBackend::presize_state(snn::NetworkState& state,
             positions, positions * static_cast<std::size_t>(spec.in_c));
       }
     };
-    for (std::size_t s = 0; s < lanes_needed; ++s) {
-      scratch.lanes[s].ks.rows.reserve(spec.fan_in());
-    }
     reserve_stripes(plan);
     reserve_stripes(alt);
   }

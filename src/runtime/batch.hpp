@@ -15,8 +15,8 @@
 // samples advance through the network layer by layer *together*, handing all
 // wave lanes to the backend in one call per segmented FC layer
 // (InferenceEngine::run_layer_batch), so each fan-in weight band streams
-// once per wave instead of once per sample. Non-FC layers of a wave still
-// fan out across the pool. Outputs and modeled stats stay bit-identical to
+// once per wave instead of once per sample. Conv layers of a wave split into
+// row tiles across the pool. Outputs and modeled stats stay bit-identical to
 // the per-sample path (the segment-major accounting is deterministic
 // per-sample, independent of the execution schedule).
 #pragma once

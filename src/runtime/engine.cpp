@@ -157,86 +157,66 @@ const snn::SpikeMap* InferenceEngine::finish_layer(
   return nullptr;
 }
 
+LayerLane InferenceEngine::layer_input(std::size_t l,
+                                       const BatchLane& lane) const {
+  SPK_CHECK(lane.state->num_layers() == net_.num_layers(),
+            "NetworkState does not match this network (use make_state())");
+  const snn::LayerSpec& spec = net_.layer(l);
+  kernels::LayerScratch& scratch = lane.state->scratch(l);
+  LayerLane io;
+  io.membrane = &lane.state->membrane(l);
+  io.scratch = &scratch;
+  if (spec.kind != snn::LayerKind::kEncodeConv) {
+    SPK_CHECK(lane.carry != nullptr, "layer " << spec.name << ": no input");
+    io.ifmap = &encode_layer_input(l, *lane.carry, *lane.state, *lane.out);
+    return io;
+  }
+  SPK_CHECK(lane.image != nullptr, "encode layer needs a dense image input");
+  snn::Reference::pad_dense_into(
+      *lane.image, snn::Reference::encode_padding(spec, *lane.image),
+      scratch.padded);
+  io.image = &scratch.padded;
+  // Layer-1 ifmap is a dense RGB tensor: report its dense HWC size as
+  // "ours" and the event-per-pixel AER equivalent as the AER column.
+  LayerMetrics& m = lane.out->layers[l];
+  m.name = spec.name;
+  const double px = static_cast<double>(spec.in_h) * spec.in_w * spec.in_c;
+  m.csr_bytes = px * common::fp_bytes(backend_->options().fmt);
+  m.aer_bytes = px * 8.0;
+  m.in_firing_rate = 1.0;
+  return io;
+}
+
 const snn::SpikeMap* InferenceEngine::run_layer(std::size_t l,
                                                 const snn::Tensor* image,
                                                 const snn::SpikeMap* carry,
                                                 snn::NetworkState& state,
                                                 InferenceResult& out) const {
-  SPK_CHECK(state.num_layers() == net_.num_layers(),
-            "NetworkState does not match this network (use make_state())");
-  const kernels::RunOptions& opt = backend_->options();
-  const snn::LayerSpec& spec = net_.layer(l);
-  const snn::LayerWeights& w = net_.weights(l);
-  snn::Tensor& membrane = state.membrane(l);
-  kernels::LayerScratch& scratch = state.scratch(l);
-
-  const kernels::LayerRun* lr = nullptr;
-  if (spec.kind == snn::LayerKind::kEncodeConv) {
-    SPK_CHECK(image != nullptr, "encode layer needs a dense image input");
-    LayerMetrics& m = out.layers[l];
-    m.name = spec.name;
-    snn::Reference::pad_dense_into(*image, (spec.in_h - image->h) / 2,
-                                   scratch.padded);
-    lr = &backend_->run_encode(spec, w, scratch.padded, membrane, scratch);
-    // Layer-1 ifmap is a dense RGB tensor: report its dense HWC size as
-    // "ours" and the event-per-pixel AER equivalent as the AER column.
-    const double px = static_cast<double>(spec.in_h) * spec.in_w * spec.in_c;
-    m.csr_bytes = px * common::fp_bytes(opt.fmt);
-    m.aer_bytes = px * 8.0;
-    m.in_firing_rate = 1.0;
-  } else {
-    SPK_CHECK(carry != nullptr, "layer " << spec.name << ": no input");
-    const compress::CsrIfmap& csr = encode_layer_input(l, *carry, state, out);
-    if (spec.kind == snn::LayerKind::kConv) {
-      lr = &backend_->run_conv(spec, w, csr, membrane, scratch);
-    } else {
-      lr = &backend_->run_fc(spec, w, csr, membrane, scratch);
-    }
-  }
-  return finish_layer(l, *lr, state, out);
+  BatchLane lane{image, carry, &state, &out};
+  run_layer_batch(l, std::span(&lane, 1), nullptr);
+  return lane.carry;
 }
 
 void InferenceEngine::run_layer_batch(std::size_t l,
                                       std::span<BatchLane> lanes,
                                       WorkerPool* pool) const {
-  const snn::LayerSpec& spec = net_.layer(l);
-  const bool batched_fc = spec.kind == snn::LayerKind::kFc &&
-                          lanes.size() > 1 &&
-                          backend_->options().segment_major_lanes > 1;
-  if (batched_fc) {
-    // Per-lane input compression, one batch-scope kernel call, per-lane
-    // metric/routing tails — all lanes advance through this layer together.
-    // thread_local so the steady state reuses capacity (the batched path
-    // never nests: the FC batch call does not recurse into layer stepping).
-    static thread_local std::vector<FcBatchLane> fc;
-    fc.assign(lanes.size(), FcBatchLane{});
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      BatchLane& lane = lanes[i];
-      SPK_CHECK(lane.carry != nullptr,
-                "layer " << spec.name << ": no input (lane " << i << ")");
-      fc[i].ifmap =
-          &encode_layer_input(l, *lane.carry, *lane.state, *lane.out);
-      fc[i].membrane = &lane.state->membrane(l);
-      fc[i].scratch = &lane.state->scratch(l);
-    }
-    backend_->run_fc_batch(spec, net_.weights(l), fc);
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      lanes[i].carry = finish_layer(l, lanes[i].state->scratch(l).main.run,
-                                    *lanes[i].state, *lanes[i].out);
-    }
-    return;
-  }
-  auto step_lane = [&](BatchLane& lane) {
-    lane.carry = run_layer(l, lane.image, lane.carry, *lane.state, *lane.out);
-  };
-  if (pool != nullptr && lanes.size() > 1) {
-    pool->parallel_for(lanes.size(), lanes.size(),
-                       [&](std::size_t, std::size_t i) {
-                         step_lane(lanes[i]);
-                       });
-  } else {
-    for (BatchLane& lane : lanes) step_lane(lane);
-  }
+  // Per-lane input compression, one batch-scope backend call, per-lane
+  // metric/routing tails — all lanes advance through this layer together.
+  // The lane buffer is thread_local so the steady state reuses its capacity;
+  // the tasks below reach it through `io`, never by name (a pool thread
+  // would see its own instance).
+  static thread_local std::vector<LayerLane> io_buf;
+  io_buf.resize(lanes.size());
+  const std::span<LayerLane> io(io_buf);
+  for_each_index(pool, lanes.size(), [&](std::size_t i) {
+    io[i] = layer_input(l, lanes[i]);
+  });
+  backend_->run_batch(net_.layer(l), net_.weights(l), io, pool);
+  for_each_index(pool, lanes.size(), [&](std::size_t i) {
+    BatchLane& lane = lanes[i];
+    lane.carry = finish_layer(l, lane.state->scratch(l).main.run, *lane.state,
+                              *lane.out);
+  });
 }
 
 void InferenceEngine::run_impl(const snn::Tensor* image,

@@ -109,11 +109,12 @@ class InferenceEngine {
 
   // --- batch-scope layer stepping (segment-major lockstep executors) --------
   // One lane per in-flight sample of a lockstep wave: the runners advance
-  // all lanes through the same layer together, which lets a segmented FC
-  // layer hand every lane to the backend in a single run_fc_batch call (the
-  // weight bands then stream once per wave instead of once per sample).
-  // `carry` is updated in place by run_layer_batch, exactly like the pointer
-  // run_layer returns.
+  // all lanes through the same layer together, and every layer reaches the
+  // backend as one ExecutionBackend::run_batch call over all lanes — a
+  // segmented FC layer then streams its weight bands once per wave instead
+  // of once per sample, and a conv layer splits into row tiles that keep
+  // every pool thread busy even in a one-lane wave. `carry` is updated in
+  // place by run_layer_batch, exactly like the pointer run_layer returns.
 
   struct BatchLane {
     const snn::Tensor* image = nullptr;
@@ -122,12 +123,12 @@ class InferenceEngine {
     InferenceResult* out = nullptr;
   };
 
-  /// Execute layer `l` for every lane. Segmented-FC-eligible layers (FC,
-  /// RunOptions::segment_major_lanes >= 2, more than one lane) go through
-  /// ExecutionBackend::run_fc_batch; every other layer runs per lane — on
-  /// `pool` when one is given (lanes own distinct states, the same aliasing
-  /// contract run_layer documents). Results are bit-identical to calling
-  /// run_layer per lane in order, including modeled stats.
+  /// Execute layer `l` for every lane: compress each lane's input, hand all
+  /// lanes to ExecutionBackend::run_batch, then route each lane's spikes —
+  /// the per-lane steps run on `pool` when one is given (lanes own distinct
+  /// states, the same aliasing contract run_layer documents). Results are
+  /// bit-identical to calling run_layer per lane in order, including
+  /// modeled stats.
   void run_layer_batch(std::size_t l, std::span<BatchLane> lanes,
                        WorkerPool* pool = nullptr) const;
 
@@ -175,14 +176,18 @@ class InferenceEngine {
   void run_impl(const snn::Tensor* image, const snn::SpikeMap* events,
                 snn::NetworkState& state, InferenceResult& out) const;
 
+  /// One lane's backend input for layer `l`: the padded image of an encode
+  /// layer (the image must fit the layer exactly) or the compressed spike
+  /// carry, with the lane's membrane and scratch.
+  LayerLane layer_input(std::size_t l, const BatchLane& lane) const;
   /// Compress a layer's spike-map input into its scratch CSR arena and fill
   /// the input-side metrics (name, footprints, firing rate).
   const compress::CsrIfmap& encode_layer_input(std::size_t l,
                                                const snn::SpikeMap& carry,
                                                snn::NetworkState& state,
                                                InferenceResult& out) const;
-  /// Output-side metric/energy bookkeeping + spike routing shared by
-  /// run_layer and run_layer_batch; returns the next layer's carry.
+  /// Output-side metric/energy bookkeeping + spike routing of one lane;
+  /// returns the next layer's carry.
   const snn::SpikeMap* finish_layer(std::size_t l,
                                     const kernels::LayerRun& lr,
                                     snn::NetworkState& state,

@@ -34,8 +34,8 @@
 // lanes at the same segmented FC layer so each weight band streams once for
 // the whole set. With segment_major_lanes >= 2 the runner therefore trades
 // stage overlap for lockstep waves: `depth` samples advance layer by layer
-// together (non-FC layers fan the lanes out on the pool; segmented FC
-// layers execute as one batch-scope InferenceEngine::run_layer_batch call).
+// together through InferenceEngine::run_layer_batch (conv layers as row
+// tiles on the pool, segmented FC layers as one band-major sweep).
 // Both schedules overlap the same host work; outputs and modeled stats stay
 // bit-identical to the serial path either way, and lanes keep their
 // weight-residency history across calls exactly as before.

@@ -51,7 +51,7 @@ InferenceServer::InferenceServer(const snn::Network& net,
 
   // Same pool-sharing rule as BatchRunner: reuse the backend's persistent
   // pool when it has one so wave-lane fan-out and shard fan-out share one
-  // clamped thread set; otherwise bring our own for the non-FC lane fan-out.
+  // clamped thread set; otherwise bring our own for the wave's row tiles.
   pool_ = engine_.worker_pool();
   const int hw =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -360,9 +360,10 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   };
 
   // The offline lockstep path, verbatim: all lanes advance through the same
-  // layer together, segmented FC layers stream each weight band once per
-  // wave (InferenceEngine::run_layer_batch), non-FC layers fan the lanes out
-  // on the pool. Every attempt starts from a clean lane state and an empty
+  // layer together (InferenceEngine::run_layer_batch) — segmented FC layers
+  // stream each weight band once per wave, conv layers split into row tiles
+  // on the pool, so even a one-lane wave uses every pool thread. Every
+  // attempt starts from a clean lane state and an empty
   // accumulator (reset without surrendering capacity, so a recycled slot
   // stays allocation-free), so a retried wave re-runs from timestep 0 and —
   // the engine being deterministic — lands bit-identical to a clean run.

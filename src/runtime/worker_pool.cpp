@@ -117,4 +117,13 @@ void WorkerPool::parallel_for(
   if (job.error) std::rethrow_exception(job.error);
 }
 
+void for_each_index(WorkerPool* pool, std::size_t n,
+                    common::FunctionRef<void(std::size_t)> fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->parallel_for(n, n, [&](std::size_t, std::size_t i) { fn(i); });
+}
+
 }  // namespace spikestream::runtime

@@ -94,4 +94,10 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 };
 
+/// `fn(i)` for every i in [0, n): one pool job when `pool` is non-null (the
+/// caller participates), else a plain loop on the calling thread — the
+/// per-lane and per-tile fan-out of a lockstep wave.
+void for_each_index(WorkerPool* pool, std::size_t n,
+                    common::FunctionRef<void(std::size_t)> fn);
+
 }  // namespace spikestream::runtime

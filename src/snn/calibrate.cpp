@@ -67,8 +67,8 @@ std::vector<double> calibrate_thresholds(Network& net,
     std::vector<Tensor> currents(n_img);
     for (std::size_t i = 0; i < n_img; ++i) {
       if (spec.kind == LayerKind::kEncodeConv) {
-        padded_imgs[i] =
-            Reference::pad_dense(images[i], (spec.in_h - images[i].h) / 2);
+        padded_imgs[i] = Reference::pad_dense(
+            images[i], Reference::encode_padding(spec, images[i]));
         currents[i] = Reference::conv_currents_dense(padded_imgs[i], w);
       } else if (spec.kind == LayerKind::kConv) {
         currents[i] = Reference::conv_currents(carry[i], w);

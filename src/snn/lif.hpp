@@ -17,6 +17,21 @@ struct LifParams {
   float v_rst = 1.0f;   ///< reset subtraction (kept equal to v_th)
 };
 
+/// lif_step_into restricted to rows [y0, y1), for a layer split into row
+/// tiles: `membrane` and `out` must already have `current`'s shape. Every
+/// neuron updates independently, so tiles covering all rows compose to
+/// exactly one lif_step_into.
+inline std::size_t lif_step_rows(const LifParams& p, const Tensor& current,
+                                 Tensor& membrane, SpikeMap& out, int y0,
+                                 int y1) {
+  const std::size_t row = static_cast<std::size_t>(current.w) * current.c;
+  const std::size_t off = static_cast<std::size_t>(y0) * row;
+  return common::simd::lif_step(current.v.data() + off,
+                                membrane.v.data() + off, out.v.data() + off,
+                                static_cast<std::size_t>(y1 - y0) * row,
+                                p.alpha, p.r, p.v_th, p.v_rst);
+}
+
 /// One LIF timestep over a whole layer into a caller-owned spike buffer
 /// (scratch-arena reuse, zero allocations in steady state): integrates
 /// `current` into `membrane` (updated in place), writes the output spikes and
@@ -27,9 +42,7 @@ inline std::size_t lif_step_into(const LifParams& p, const Tensor& current,
                                  Tensor& membrane, SpikeMap& out) {
   SPK_CHECK(current.same_shape(membrane), "LIF shape mismatch");
   out.reshape(current.h, current.w, current.c);
-  return common::simd::lif_step(current.v.data(), membrane.v.data(),
-                                out.v.data(), current.v.size(), p.alpha, p.r,
-                                p.v_th, p.v_rst);
+  return lif_step_rows(p, current, membrane, out, 0, current.h);
 }
 
 /// One LIF timestep over a whole layer: integrates `current` into `membrane`

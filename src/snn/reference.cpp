@@ -52,12 +52,19 @@ Tensor Reference::conv_currents_dense(const Tensor& in, const LayerWeights& w) {
 
 void Reference::conv_currents_dense_into(const Tensor& in,
                                          const LayerWeights& w, Tensor& out) {
+  out.reshape(in.h - w.k + 1, in.w - w.k + 1, w.out_c);
+  conv_currents_dense_rows(in, w, out, 0, out.h);
+}
+
+void Reference::conv_currents_dense_rows(const Tensor& in,
+                                         const LayerWeights& w, Tensor& out,
+                                         int oy0, int oy1) {
   const int k = w.k;
   const int out_c = w.out_c;
-  out.reshape(in.h - k + 1, in.w - k + 1, out_c);
-  std::fill(out.v.begin(), out.v.end(), 0.0f);
+  const auto row = static_cast<std::ptrdiff_t>(out.w) * out_c;
+  std::fill(out.v.begin() + oy0 * row, out.v.begin() + oy1 * row, 0.0f);
   const float* wbase = w.v.data();
-  for (int oy = 0; oy < out.h; ++oy) {
+  for (int oy = oy0; oy < oy1; ++oy) {
     for (int ox = 0; ox < out.w; ++ox) {
       float* __restrict__ acc = &out.at(oy, ox, 0);
       for (int kh = 0; kh < k; ++kh) {
@@ -91,6 +98,16 @@ Tensor Reference::fc_currents(const SpikeMap& in, const LayerWeights& w) {
   return out;
 }
 
+int Reference::encode_padding(const LayerSpec& spec, const Tensor& image) {
+  const int p = (spec.in_h - image.h) / 2;
+  SPK_CHECK(p >= 0 && image.h + 2 * p == spec.in_h &&
+                image.w + 2 * p == spec.in_w && image.c == spec.in_c,
+            spec.name << ": a " << image.h << "x" << image.w << "x" << image.c
+                      << " image does not pad to the " << spec.in_h << "x"
+                      << spec.in_w << "x" << spec.in_c << " layer input");
+  return p;
+}
+
 Tensor Reference::pad_dense(const Tensor& t, int p) {
   Tensor out;
   pad_dense_into(t, p, out);
@@ -98,6 +115,9 @@ Tensor Reference::pad_dense(const Tensor& t, int p) {
 }
 
 void Reference::pad_dense_into(const Tensor& t, int p, Tensor& out) {
+  // A negative pad would copy rows outside `out` (images larger than the
+  // layer's padded input reach here from every encode-layer caller).
+  SPK_CHECK(p >= 0, "negative image padding " << p);
   out.reshape(t.h + 2 * p, t.w + 2 * p, t.c);
   std::fill(out.v.begin(), out.v.end(), 0.0f);
   const std::size_t row = static_cast<std::size_t>(t.w) * t.c;
@@ -121,9 +141,7 @@ const std::vector<LayerIo>& Reference::step(const Tensor& image) {
     Tensor currents;
 
     if (spec.kind == LayerKind::kEncodeConv) {
-      io.dense_input = pad_dense(image, (spec.in_h - image.h) / 2);
-      SPK_CHECK(io.dense_input.h == spec.in_h && io.dense_input.c == spec.in_c,
-                "encode input shape mismatch");
+      io.dense_input = pad_dense(image, encode_padding(spec, image));
       currents = conv_currents_dense(io.dense_input, net_.weights(l));
     } else if (spec.kind == LayerKind::kConv) {
       io.spike_input = carry;

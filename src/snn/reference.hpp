@@ -41,7 +41,16 @@ class Reference {
   /// too, so kernel and reference stay bit-identical by construction.
   static void conv_currents_dense_into(const Tensor& in_padded,
                                        const LayerWeights& w, Tensor& out);
+  /// conv_currents_dense_into for output rows [oy0, oy1) only, into an `out`
+  /// already shaped for the whole layer (the encode kernel's row tiles).
+  static void conv_currents_dense_rows(const Tensor& in_padded,
+                                       const LayerWeights& w, Tensor& out,
+                                       int oy0, int oy1);
   static Tensor fc_currents(const SpikeMap& in_flat, const LayerWeights& w);
+  /// Border padding that turns a raw `image` into encode layer `spec`'s
+  /// padded input. Throws Error unless the image fits exactly: same
+  /// channels and equal, even, non-negative margins in both dimensions.
+  static int encode_padding(const LayerSpec& spec, const Tensor& image);
   static Tensor pad_dense(const Tensor& t, int p);
   /// Scratch-buffer variant of pad_dense (engine hot path).
   static void pad_dense_into(const Tensor& t, int p, Tensor& out);

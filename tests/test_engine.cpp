@@ -106,6 +106,40 @@ TEST(Engine, MembranePersistsAcrossTimestepsUntilReset) {
   EXPECT_EQ(r2.final_output.v, io2.back().output.v);
 }
 
+TEST(Engine, RejectsImagesThatDoNotFitTheEncodeLayer) {
+  // The encode layer's input is 12x12x3 (10x10 images padded by 1). Every
+  // other image shape must fail loudly in the engine and in the reference —
+  // an image two or more rows too tall used to reach the padding copy with a
+  // negative pad and write out of bounds.
+  const snn::Network net = calibrated_tiny(36);
+  k::RunOptions opt;
+  const rt::InferenceEngine eng(net, opt);
+  snn::Network qnet = net;
+  qnet.quantize_weights(opt.fmt);
+  struct Case {
+    const char* what;
+    int h, w, c;
+  };
+  const Case cases[] = {
+      {"too tall", 14, 10, 3},
+      {"odd size difference", 11, 11, 3},
+      {"wrong width", 10, 12, 3},
+      {"wrong channels", 10, 10, 4},
+  };
+  for (const Case& c : cases) {
+    const snn::Tensor img(c.h, c.w, c.c);
+    snn::NetworkState state = eng.make_state();
+    EXPECT_THROW(eng.run(img, state), spikestream::Error) << c.what;
+    snn::Reference ref(qnet);
+    EXPECT_THROW(ref.step(img), spikestream::Error) << c.what;
+  }
+  // The engine is unharmed: a well-formed image still matches the reference.
+  const auto img = snn::make_batch(1, 8, 10, 10, 3)[0];
+  snn::NetworkState state = eng.make_state();
+  snn::Reference ref(qnet);
+  EXPECT_EQ(eng.run(img, state).final_output.v, ref.step(img).back().output.v);
+}
+
 TEST(Engine, Svgg11SingleImageAllLayersConsistent) {
   // One full S-VGG11 image through both variants: spikes must agree layer by
   // layer (same math, different timing models).

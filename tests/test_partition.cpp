@@ -677,7 +677,7 @@ TEST(PartitionPlans, PreparedAtEngineConstructionAndLanesPresized) {
 
 TEST(SegmentMajor, BitExactSpikesAndCyclesAcrossBatchAndBackends) {
   // The lockstep batch executors (BatchRunner waves, PipelinedBatchRunner
-  // waves, the backend's run_fc_batch hook) must produce spikes AND modeled
+  // waves, the backend's run_batch hook) must produce spikes AND modeled
   // stats bit-identical to the serial per-sample path with the same options,
   // for every batch size, backend and cluster count — the segment-major
   // accounting is per-sample deterministic by construction.

@@ -2,10 +2,13 @@
 // cycles must be bit-identical to the serial BatchRunner for every pipeline
 // depth, backend and cluster count — the stage overlap may only change host
 // wall-clock. Plus a scratch-aliasing stress test (more samples than lanes,
-// repeated runs on one runner) and the batch-level weight-tile reuse
-// semantics that ride on the per-lane scratch.
+// repeated runs on one runner), the batch-level weight-tile reuse
+// semantics that ride on the per-lane scratch, and row-tiled lockstep waves
+// (InferenceEngine::run_layer_batch on a worker pool) against the serial
+// per-sample path.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -13,6 +16,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/multistep.hpp"
 #include "runtime/pipeline.hpp"
+#include "runtime/worker_pool.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
 
@@ -46,7 +50,140 @@ void expect_equal_runs(const std::vector<rt::MultiStepResult>& a,
   }
 }
 
+/// Every KernelStats field, bit for bit.
+void expect_same_stats(const k::KernelStats& a, const k::KernelStats& b,
+                       const std::string& where) {
+#define SPK_EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << where << " " #field
+  SPK_EXPECT_SAME(cycles);
+  SPK_EXPECT_SAME(compute_cycles);
+  SPK_EXPECT_SAME(dma_cycles);
+  SPK_EXPECT_SAME(fpu_ops);
+  SPK_EXPECT_SAME(fpu_mac_ops);
+  SPK_EXPECT_SAME(int_instrs);
+  SPK_EXPECT_SAME(tcdm_words);
+  SPK_EXPECT_SAME(ssr_elems);
+  SPK_EXPECT_SAME(dma_bytes);
+  SPK_EXPECT_SAME(dma_saved_bytes);
+  SPK_EXPECT_SAME(dma_bytes_spill);
+  SPK_EXPECT_SAME(noc_bytes);
+  SPK_EXPECT_SAME(dma_row_hits);
+  SPK_EXPECT_SAME(dma_row_misses);
+  SPK_EXPECT_SAME(dma_cycles_hidden);
+  SPK_EXPECT_SAME(noc_contention_cycles);
+  SPK_EXPECT_SAME(fifo_stall_cycles);
+  SPK_EXPECT_SAME(ecc_words);
+  SPK_EXPECT_SAME(ecc_corrected);
+  SPK_EXPECT_SAME(ecc_uncorrectable);
+  SPK_EXPECT_SAME(ecc_cycles);
+  SPK_EXPECT_SAME(active_cores);
+  SPK_EXPECT_SAME(core_cycles);
+#undef SPK_EXPECT_SAME
+}
+
+/// Conv layers with enough spikes to split into several row tiles per lane,
+/// on 13 output rows: no block count other than 1 and 13 divides them
+/// evenly. 64 output channels stream binary16 weight rows after FP16
+/// quantization (on hosts with that fast path) and float rows under FP32.
+snn::Network tile_net() {
+  snn::Network net;
+  snn::LayerSpec enc;
+  enc.kind = snn::LayerKind::kEncodeConv;
+  enc.name = "enc";
+  enc.in_h = enc.in_w = 15;
+  enc.in_c = 3;
+  enc.k = 3;
+  enc.out_c = 64;
+  enc.pad_next = 1;
+  net.add_layer(enc);
+  snn::LayerSpec conv = enc;
+  conv.kind = snn::LayerKind::kConv;
+  conv.name = "conv";
+  conv.in_c = 64;
+  net.add_layer(conv);
+  snn::LayerSpec fc;
+  fc.kind = snn::LayerKind::kFc;
+  fc.name = "fc";
+  fc.in_c = 13 * 13 * 64;
+  fc.out_c = 16;
+  net.add_layer(fc);
+  sc::Rng rng(7);
+  net.init_weights(rng);
+  const std::vector<double> targets = {0.3, 0.3, 0.3};
+  snn::calibrate_thresholds(net, snn::make_batch(3, 8, 13, 13, 3), targets);
+  return net;
+}
+
 }  // namespace
+
+TEST(Pipeline, RowTiledWavesMatchSerialPerSamplePath) {
+  // run_layer_batch on a pool splits conv and encode layers into (lane x
+  // output-row-block) tiles: spikes, per-step cycles and every modeled stat
+  // must equal the serial per-sample path whatever the lane count, thread
+  // count, backend or weight-row format — including warm-weight accounting
+  // (batch_weight_reuse) across timesteps and the segment-major FC sweep.
+  const snn::Network net = tile_net();
+  constexpr std::size_t kMaxLanes = 8;
+  constexpr int kSteps = 3;
+  const auto images = snn::make_batch(kMaxLanes, 19, 13, 13, 3);
+  for (const auto fmt : {sc::FpFormat::FP16, sc::FpFormat::FP32}) {
+    for (const auto kind :
+         {rt::BackendKind::kAnalytical, rt::BackendKind::kCycleAccurate}) {
+      k::RunOptions opt;
+      opt.fmt = fmt;
+      opt.batch_weight_reuse = true;
+      opt.segment_major_lanes = static_cast<int>(kMaxLanes);
+      rt::BackendConfig cfg;
+      cfg.kind = kind;
+      const rt::InferenceEngine engine(net, opt, cfg);
+      std::vector<std::vector<rt::InferenceResult>> want(kMaxLanes);
+      for (std::size_t i = 0; i < kMaxLanes; ++i) {
+        snn::NetworkState st = engine.make_state();
+        for (int t = 0; t < kSteps; ++t) {
+          want[i].push_back(engine.run(images[i], st));
+        }
+      }
+      for (const int threads : {0, 1, 3}) {
+        rt::WorkerPool pool(threads);
+        for (const std::size_t lanes : {1, 2, 3, 8}) {
+          std::vector<snn::NetworkState> states;
+          for (std::size_t i = 0; i < lanes; ++i) {
+            states.push_back(engine.make_state());
+          }
+          std::vector<rt::InferenceResult> steps(lanes);
+          std::vector<rt::InferenceEngine::BatchLane> wave(lanes);
+          for (int t = 0; t < kSteps; ++t) {
+            for (std::size_t i = 0; i < lanes; ++i) {
+              engine.begin_sample(steps[i]);
+              wave[i] = {&images[i], nullptr, &states[i], &steps[i]};
+            }
+            for (std::size_t l = 0; l < net.num_layers(); ++l) {
+              engine.run_layer_batch(l, wave, &pool);
+            }
+            for (std::size_t i = 0; i < lanes; ++i) {
+              const std::string where =
+                  std::string(sc::fp_name(fmt)) + " " +
+                  rt::backend_name(kind) + " threads=" +
+                  std::to_string(threads) + " lanes=" +
+                  std::to_string(lanes) + " lane " + std::to_string(i) +
+                  " t=" + std::to_string(t);
+              const rt::InferenceResult& w = want[i][static_cast<std::size_t>(t)];
+              EXPECT_EQ(steps[i].final_output.v, w.final_output.v) << where;
+              EXPECT_EQ(steps[i].total_cycles, w.total_cycles) << where;
+              for (std::size_t l = 0; l < net.num_layers(); ++l) {
+                const std::string at = where + " " + net.layer(l).name;
+                EXPECT_EQ(steps[i].layers[l].out_firing_rate,
+                          w.layers[l].out_firing_rate)
+                    << at;
+                expect_same_stats(steps[i].layers[l].stats, w.layers[l].stats,
+                                  at);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(Pipeline, ParityAcrossDepthsBackendsAndClusters) {
   const snn::Network net = test_net();

@@ -16,6 +16,7 @@
 #include "runtime/multistep.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/server.hpp"
+#include "runtime/worker_pool.hpp"
 #include "snn/calibrate.hpp"
 #include "snn/input_gen.hpp"
 
@@ -400,6 +401,46 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsAdaptiveSharded) {
   const std::size_t after = spikestream::alloc_hook::allocs();
   EXPECT_EQ(after - before, 0u)
       << "adaptive sharded steady state must not touch the heap";
+}
+
+TEST(ScratchReuse, ZeroSteadyStateAllocationsRowTiledWave) {
+  // Four warm lanes of one lockstep wave on a pooled executor: input
+  // compression, row tiles, timing tails and spike routing all run in the
+  // lanes' own arenas (or fixed per-thread buffers), so a wave timestep
+  // stays off the heap once warmed — on the pool threads too.
+  const snn::Network net = test_net();
+  const auto images = snn::make_batch(4, 7, 16, 16, 3);
+  k::RunOptions opt;
+  opt.segment_major_lanes = 4;
+  const rt::InferenceEngine engine(net, opt);
+  rt::WorkerPool pool(3);
+  std::vector<snn::NetworkState> states;
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    states.push_back(engine.make_state());
+  }
+  std::vector<rt::InferenceResult> steps(images.size());
+  std::vector<rt::InferenceEngine::BatchLane> wave(images.size());
+  const auto timestep = [&] {
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      engine.begin_sample(steps[i]);
+      wave[i] = {&images[i], nullptr, &states[i], &steps[i]};
+    }
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      engine.run_layer_batch(l, wave, &pool);
+    }
+  };
+  int quiet = 0;
+  for (int t = 0; t < 64 && quiet < 6; ++t) {
+    const std::size_t before = spikestream::alloc_hook::allocs();
+    timestep();
+    quiet = spikestream::alloc_hook::allocs() == before ? quiet + 1 : 0;
+  }
+  ASSERT_GE(quiet, 6) << "wave never reached allocation quiescence";
+  const std::size_t before = spikestream::alloc_hook::allocs();
+  for (int t = 0; t < 5; ++t) timestep();
+  const std::size_t after = spikestream::alloc_hook::allocs();
+  EXPECT_EQ(after - before, 0u)
+      << "row-tiled lockstep waves must not touch the heap";
 }
 
 TEST(ScratchReuse, ZeroSteadyStateAllocationsServerLoop) {

@@ -277,6 +277,36 @@ TEST(InferenceServer, StopDuringThrowingWavesDrainsAllToTerminal) {
   EXPECT_LT(stop_ms, 550.0) << "retry backoff must be skipped while stopping";
 }
 
+TEST(InferenceServer, MalformedRequestErrorsAndServerKeepsServing) {
+  // An image two rows taller than the encode layer's padded input (16x16
+  // images pad to 18x18) fails its wave with kError instead of corrupting
+  // memory; the dispatcher survives and serves the next request.
+  const snn::Network net = test_net();
+  const auto good = snn::make_batch(1, 5, 16, 16, 3)[0];
+  const snn::Tensor bad(20, 16, 3);
+  k::RunOptions opt;
+  opt.segment_major_lanes = 4;
+  rt::ServerConfig scfg;
+  scfg.max_queue_delay_us = 200;
+  rt::InferenceServer server(net, opt, {}, scfg);
+
+  rt::ServeRequest req;
+  req.image = &bad;
+  ASSERT_TRUE(server.submit(req));
+  EXPECT_FALSE(req.wait());
+  EXPECT_EQ(req.state.load(), rt::ServeRequest::kError);
+
+  rt::ServeRequest ok;
+  ok.image = &good;
+  ASSERT_TRUE(server.submit(ok));
+  EXPECT_TRUE(ok.wait());
+  EXPECT_FALSE(ok.result.spike_counts.empty());
+  server.stop();
+  const rt::ServerStats st = server.stats();
+  EXPECT_EQ(st.errored, 1u);
+  EXPECT_EQ(st.completed, 1u);
+}
+
 TEST(InferenceServer, DeadlineFiresPartialWave) {
   // 3 requests into an 8-lane server: the wave can never fill, so it must
   // fire on the max_queue_delay_us deadline with exactly the queued lanes.
