@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/float_formats.hpp"
+
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define SPIKESTREAM_X86_SIMD 1
@@ -31,7 +33,8 @@ Tier probe_max_supported() {
       __builtin_cpu_supports("avx512vl")) {
     return Tier::kAvx512;
   }
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+      __builtin_cpu_supports("f16c")) {
     return Tier::kAvx2;
   }
 #endif
@@ -409,6 +412,165 @@ void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
   }
 #endif
   groups_scalar(row, c, group, groups, counts);
+}
+
+// ---------------------------------------------------------------------------
+// IEEE binary16 narrowing (FP16 weight image)
+// ---------------------------------------------------------------------------
+// vcvtps2ph with an immediate round-to-nearest-even matches the scalar
+// routines on every finite source (including float subnormals, which round
+// to a signed zero, and overflow to Inf); vcvtph2ps widens exactly. Only NaN
+// sources differ (payloads), so a block holding any source with an all-ones
+// exponent runs scalar.
+
+namespace {
+
+void quantize_fp16_scalar(float* v, std::uint16_t* bits, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = fp16_bits_to_fp32(fp32_to_fp16_bits(v[i]));
+    bits[i] = fp32_to_fp16_bits(v[i]);
+  }
+}
+
+std::size_t pack_fp16_scalar(const float* v, std::uint16_t* bits,
+                             std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint16_t h = fp32_to_fp16_bits(v[i]);
+    // Bit-compare so -0.0 / NaN cannot slip through an == check.
+    if (std::bit_cast<std::uint32_t>(fp16_bits_to_fp32(h)) !=
+        std::bit_cast<std::uint32_t>(v[i])) {
+      return i;
+    }
+    bits[i] = h;
+  }
+  return n;
+}
+
+#ifdef SPIKESTREAM_X86_SIMD
+
+constexpr std::int32_t kF32ExpMask = 0x7F800000;
+
+// The AVX-512 tier uses the maskz conversions with an all-ones mask: they
+// compile to the plain vcvtps2ph / vcvtph2ps, while the unmasked intrinsics
+// pass an undefined vector through, which GCC reports under
+// -Wmaybe-uninitialized.
+
+/// Lanes of `x` (float bits) whose exponent is all ones.
+__attribute__((target("avx512f"))) __mmask16 nonfinite_avx512(__m512i x) {
+  const __m512i e = _mm512_set1_epi32(kF32ExpMask);
+  return _mm512_cmpeq_epi32_mask(_mm512_and_si512(x, e), e);
+}
+
+__attribute__((target("avx512f"))) void quantize_fp16_avx512(
+    float* v, std::uint16_t* bits, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 x = _mm512_loadu_ps(v + i);
+    if (nonfinite_avx512(_mm512_castps_si512(x)) != 0) {
+      quantize_fp16_scalar(v + i, bits + i, 16);
+      continue;
+    }
+    const __m256i h =
+        _mm512_maskz_cvtps_ph(0xFFFF, x, _MM_FROUND_TO_NEAREST_INT);
+    _mm512_storeu_ps(v + i, _mm512_maskz_cvtph_ps(0xFFFF, h));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(bits + i), h);
+  }
+  quantize_fp16_scalar(v + i, bits + i, n - i);
+}
+
+__attribute__((target("avx512f"))) std::size_t pack_fp16_avx512(
+    const float* v, std::uint16_t* bits, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i x = _mm512_loadu_si512(reinterpret_cast<const void*>(v + i));
+    const __m256i h = _mm512_maskz_cvtps_ph(0xFFFF, _mm512_castsi512_ps(x),
+                                            _MM_FROUND_TO_NEAREST_INT);
+    const __mmask16 exact =
+        _mm512_cmpeq_epi32_mask(
+            _mm512_castps_si512(_mm512_maskz_cvtph_ps(0xFFFF, h)), x) &
+        static_cast<__mmask16>(~nonfinite_avx512(x));
+    if (exact != 0xFFFF) {
+      // A non-finite or inexact lane: the scalar routines decide the block
+      // and write its bits up to the first rejection.
+      const std::size_t k = pack_fp16_scalar(v + i, bits + i, 16);
+      if (k != 16) return i + k;
+      continue;
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(bits + i), h);
+  }
+  return i + pack_fp16_scalar(v + i, bits + i, n - i);
+}
+
+/// Lanes of `x` (float bits) whose exponent is all ones, as 0/-1 lanes.
+__attribute__((target("avx2"))) __m256i nonfinite_avx2(__m256i x) {
+  const __m256i e = _mm256_set1_epi32(kF32ExpMask);
+  return _mm256_cmpeq_epi32(_mm256_and_si256(x, e), e);
+}
+
+__attribute__((target("avx2,f16c"))) void quantize_fp16_avx2(
+    float* v, std::uint16_t* bits, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x = _mm256_loadu_ps(v + i);
+    if (_mm256_movemask_epi8(nonfinite_avx2(_mm256_castps_si256(x))) != 0) {
+      quantize_fp16_scalar(v + i, bits + i, 8);
+      continue;
+    }
+    const __m128i h = _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT);
+    _mm256_storeu_ps(v + i, _mm256_cvtph_ps(h));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(bits + i), h);
+  }
+  quantize_fp16_scalar(v + i, bits + i, n - i);
+}
+
+__attribute__((target("avx2,f16c"))) std::size_t pack_fp16_avx2(
+    const float* v, std::uint16_t* bits, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
+    const __m128i h =
+        _mm256_cvtps_ph(_mm256_castsi256_ps(x), _MM_FROUND_TO_NEAREST_INT);
+    const __m256i exact = _mm256_andnot_si256(
+        nonfinite_avx2(x),
+        _mm256_cmpeq_epi32(_mm256_castps_si256(_mm256_cvtph_ps(h)), x));
+    if (_mm256_movemask_epi8(exact) != -1) {
+      // A non-finite or inexact lane: the scalar routines decide the block
+      // and write its bits up to the first rejection.
+      const std::size_t k = pack_fp16_scalar(v + i, bits + i, 8);
+      if (k != 8) return i + k;
+      continue;
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(bits + i), h);
+  }
+  return i + pack_fp16_scalar(v + i, bits + i, n - i);
+}
+
+#endif  // SPIKESTREAM_X86_SIMD
+
+}  // namespace
+
+void fp16_quantize(float* v, std::uint16_t* bits, std::size_t n) {
+#ifdef SPIKESTREAM_X86_SIMD
+  switch (active()) {
+    case Tier::kAvx512: quantize_fp16_avx512(v, bits, n); return;
+    case Tier::kAvx2: quantize_fp16_avx2(v, bits, n); return;
+    case Tier::kScalar: break;
+  }
+#endif
+  quantize_fp16_scalar(v, bits, n);
+}
+
+std::size_t fp16_pack_exact(const float* v, std::uint16_t* bits,
+                            std::size_t n) {
+#ifdef SPIKESTREAM_X86_SIMD
+  switch (active()) {
+    case Tier::kAvx512: return pack_fp16_avx512(v, bits, n);
+    case Tier::kAvx2: return pack_fp16_avx2(v, bits, n);
+    case Tier::kScalar: break;
+  }
+#endif
+  return pack_fp16_scalar(v, bits, n);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // Runtime-dispatched host SIMD kernels for the three simulator hot loops:
 // the CSR nonzero-byte scan (ifmap compression), the LIF membrane step, and
 // the dense per-SIMD-group spike accumulate that feeds the schedule
-// simulation. Each kernel has a scalar reference implementation plus AVX2 and
-// AVX-512 variants compiled with function-level target attributes, so one
-// portable binary carries every tier and picks the widest one the running CPU
-// supports (probed once via cpuid).
+// simulation — plus the float -> binary16 narrowing that builds the FP16
+// weight image at engine construction. Each kernel has a scalar reference
+// implementation plus AVX2 and AVX-512 variants compiled with function-level
+// target attributes, so one portable binary carries every tier and picks the
+// widest one the running CPU supports (probed once via cpuid).
 //
 // Bit-exactness contract: every tier of a kernel produces byte-identical
 // output for identical input — the vector paths are lane-wise transcriptions
@@ -26,7 +27,7 @@ namespace spikestream::common::simd {
 
 enum class Tier {
   kScalar = 0,
-  kAvx2 = 1,    ///< AVX2 + FMA
+  kAvx2 = 1,    ///< AVX2 + FMA + F16C
   kAvx512 = 2,  ///< AVX-512 F + BW
 };
 
@@ -64,6 +65,26 @@ std::size_t lif_step(const float* cur, float* mem, std::uint8_t* spikes,
 /// per-group task costs.
 void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
                         double* counts);
+
+// --- IEEE binary16 narrowing ------------------------------------------------
+// Float -> binary16 with round-to-nearest-even: vcvtps2ph over 16 lanes
+// (kAvx512) or 8 (kAvx2, F16C); the scalar tier is the reference routines
+// common::fp32_to_fp16_bits / fp16_bits_to_fp32. Those routines turn every
+// NaN into one canonical pattern while vcvtps2ph keeps payloads, so a vector
+// block holding any Inf/NaN source (exponent all ones) goes through the scalar
+// routines: every tier writes the same bits and floats for every input.
+
+/// Quantize mode: v[i] = fp16_bits_to_fp32(fp32_to_fp16_bits(v[i])) in place
+/// and bits[i] = fp32_to_fp16_bits(v[i]) of that rounded value, whose
+/// round trip is exact by construction.
+void fp16_quantize(float* v, std::uint16_t* bits, std::size_t n);
+
+/// Pack-if-exact mode: bits[i] = fp32_to_fp16_bits(v[i]) while v[i]
+/// round-trips float -> binary16 -> float bit-exactly. Returns `n` when every
+/// element does, else the index k of the first one that does not; bits[0..k)
+/// are written either way.
+std::size_t fp16_pack_exact(const float* v, std::uint16_t* bits,
+                            std::size_t n);
 
 // --- CRC32C checksum engine -------------------------------------------------
 // The seal/verify primitive of the data-integrity subsystem

@@ -186,6 +186,14 @@ void add_rows(float* __restrict__ acc, const void* const* rows,
 #if defined(__AVX512F__) && defined(__F16C__)
 #define SPIKESTREAM_HALF_ROWS 1
 
+/// Sixteen binary16 weights widened to float32 (exact). The maskz form with
+/// an all-ones mask is the plain vcvtph2ps; _mm512_cvtph_ps passes an
+/// undefined vector through, which GCC flags under -Wmaybe-uninitialized.
+inline __m512 load_half16(const std::uint16_t* p) {
+  return _mm512_maskz_cvtph_ps(
+      0xFFFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+}
+
 /// Half-precision weight streaming: rows hold IEEE binary16 bit patterns
 /// (LayerWeights::half), converted to float32 by vcvtph2ps right before the
 /// add. Lane-wise the accumulation order and the converted values are
@@ -202,25 +210,18 @@ void add_rows_half(float* acc, const void* const* rows, std::size_t n_rows,
     const auto* w3 = static_cast<const std::uint16_t*>(rows[r + 3]);
     for (int co = 0; co + 16 <= out_c; co += 16) {
       __m512 s = _mm512_loadu_ps(acc + co);
-      s = _mm512_add_ps(s, _mm512_cvtph_ps(_mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(w0 + co))));
-      s = _mm512_add_ps(s, _mm512_cvtph_ps(_mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(w1 + co))));
-      s = _mm512_add_ps(s, _mm512_cvtph_ps(_mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(w2 + co))));
-      s = _mm512_add_ps(s, _mm512_cvtph_ps(_mm256_loadu_si256(
-                               reinterpret_cast<const __m256i*>(w3 + co))));
+      s = _mm512_add_ps(s, load_half16(w0 + co));
+      s = _mm512_add_ps(s, load_half16(w1 + co));
+      s = _mm512_add_ps(s, load_half16(w2 + co));
+      s = _mm512_add_ps(s, load_half16(w3 + co));
       _mm512_storeu_ps(acc + co, s);
     }
   }
   for (; r < n_rows; ++r) {
     const auto* w0 = static_cast<const std::uint16_t*>(rows[r]);
     for (int co = 0; co + 16 <= out_c; co += 16) {
-      const __m512 s = _mm512_add_ps(
-          _mm512_loadu_ps(acc + co),
-          _mm512_cvtph_ps(_mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(w0 + co))));
-      _mm512_storeu_ps(acc + co, s);
+      _mm512_storeu_ps(acc + co, _mm512_add_ps(_mm512_loadu_ps(acc + co),
+                                               load_half16(w0 + co)));
     }
   }
 }

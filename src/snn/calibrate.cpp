@@ -77,15 +77,18 @@ std::vector<double> calibrate_thresholds(Network& net,
       }
     }
 
-    // 2) v_th = (1 - target)-quantile of the pooled current distribution.
+    // 2) v_th = (1 - target)-quantile of the pooled current distribution:
+    // the qi-th smallest current, selected in linear time (the element a
+    // full sort would put at qi).
     std::vector<float> pool;
     for (const auto& t : currents) pool.insert(pool.end(), t.v.begin(), t.v.end());
-    std::sort(pool.begin(), pool.end());
     const double target = target_rates[l];
     auto qi = static_cast<std::size_t>(
         std::clamp((1.0 - target) * static_cast<double>(pool.size()),
                    0.0, static_cast<double>(pool.size() - 1)));
-    float vth = pool[qi];
+    const auto nth = pool.begin() + static_cast<std::ptrdiff_t>(qi);
+    std::nth_element(pool.begin(), nth, pool.end());
+    float vth = *nth;
     if (vth <= 0.0f) vth = 1e-3f;  // keep thresholds positive
     spec.lif.v_th = vth;
     spec.lif.v_rst = vth;

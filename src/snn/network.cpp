@@ -1,9 +1,9 @@
 #include "snn/network.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/simd.hpp"
 
 namespace spikestream::snn {
 
@@ -31,24 +31,22 @@ void Network::init_weights(common::Rng& rng) {
 }
 
 void LayerWeights::build_half() {
-  half.clear();
-  half_exact = false;
-  half.reserve(v.size());
-  for (float x : v) {
-    const std::uint16_t h = common::fp32_to_fp16_bits(x);
-    const float back = common::fp16_bits_to_fp32(h);
-    // Bit-compare so -0.0 / NaN cannot slip through an == check.
-    if (std::bit_cast<std::uint32_t>(back) != std::bit_cast<std::uint32_t>(x)) {
-      half.clear();
-      return;
-    }
-    half.push_back(h);
-  }
-  half_exact = true;
+  half.resize(v.size());
+  half_exact = common::simd::fp16_pack_exact(v.data(), half.data(),
+                                             v.size()) == v.size();
+  if (!half_exact) std::vector<std::uint16_t>().swap(half);
 }
 
 void Network::quantize_weights(common::FpFormat fmt) {
   for (auto& w : weights_) {
+    if (fmt == common::FpFormat::FP16) {
+      // One pass rounds `v` and writes its binary16 image, which is exact by
+      // construction — the same result as quantize() + build_half().
+      w.half.resize(w.v.size());
+      common::simd::fp16_quantize(w.v.data(), w.half.data(), w.v.size());
+      w.half_exact = true;
+      continue;
+    }
     for (float& x : w.v) x = common::quantize(x, fmt);
     w.build_half();
   }

@@ -50,16 +50,16 @@ struct LayerWeights {
   std::vector<float> v;
 
   /// IEEE binary16 bit pattern of every element of `v`, valid iff
-  /// `half_exact`. Built by quantize-time `build_half()` when every value
-  /// round-trips float -> half -> float bit-exactly (always true after FP16
-  /// or FP8 quantization, never for FP32): the conv/FC functional kernels
-  /// then stream weight rows at half the memory traffic and convert on the
-  /// fly, with results bit-identical to the float32 path.
+  /// `half_exact`. Written by the FP16 quantize pass itself, and by
+  /// `build_half()` after FP8 quantization (every FP8 value is a binary16
+  /// value); He-initialized FP32 weights do not round-trip. The conv/FC
+  /// functional kernels then stream weight rows at half the memory traffic
+  /// and convert on the fly, with results bit-identical to the float32 path.
   std::vector<std::uint16_t> half;
   bool half_exact = false;
 
-  /// (Re)build `half` from `v`; clears it when any value does not round-trip
-  /// exactly.
+  /// (Re)build `half` from `v`; frees it when any value does not round-trip
+  /// float -> half -> float bit-exactly.
   void build_half();
 
   std::size_t index(int kh, int kw, int ci, int co) const {

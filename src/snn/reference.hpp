@@ -20,7 +20,9 @@ struct LayerIo {
 
 class Reference {
  public:
+  /// Keeps a reference to `net`, which must outlive this object.
   explicit Reference(const Network& net);
+  Reference(const Network&&) = delete;  ///< would dangle on a temporary
 
   /// Run one timestep on a raw (unpadded) image; returns per-layer IO.
   /// Membrane state persists across calls for multi-timestep runs.

@@ -1,13 +1,18 @@
 // Host-SIMD dispatch layer (common/simd.hpp): every tier the running CPU
 // supports must produce byte-identical results to the scalar tier for all
-// three kernels — the CSR nonzero scan, the LIF step and the per-group spike
-// accumulate — across lengths that exercise both the vector bodies and the
-// scalar tails.
+// kernels — the CSR nonzero scan, the LIF step, the per-group spike
+// accumulate and the binary16 narrowing (checked against the scalar
+// common/float_formats routines) — across lengths that exercise both the
+// vector bodies and the scalar tails.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "common/float_formats.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "compress/csr_ifmap.hpp"
@@ -36,6 +41,68 @@ std::vector<simd::Tier> supported_tiers() {
 struct TierGuard {
   ~TierGuard() { simd::force_tier(simd::max_supported()); }
 };
+
+float from_bits(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+/// Widens binary16 `h`, keeping NaN sign and payload (the scalar routine
+/// returns one canonical NaN for all of them).
+float widen_keep_payload(std::uint16_t h) {
+  const std::uint32_t mant = h & 0x03FFu;
+  if ((h & 0x7C00u) == 0x7C00u && mant != 0) {
+    return from_bits((std::uint32_t{h & 0x8000u} << 16) | 0x7F800000u |
+                     (mant << 13));
+  }
+  return sc::fp16_bits_to_fp32(h);
+}
+
+/// Narrowing edge cases: all 65 536 binary16 patterns widened; every
+/// rounding midpoint between adjacent finite binary16 magnitudes (the last
+/// one is the overflow threshold 65520) with its two float neighbours, both
+/// signs; float subnormals, zeros, infinities, and NaNs of both signs whose
+/// payloads do or do not survive narrowing.
+std::vector<float> fp16_edge_inputs() {
+  std::vector<float> in;
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    in.push_back(widen_keep_payload(static_cast<std::uint16_t>(h)));
+  }
+  for (std::uint16_t h = 0; h < 0x7C00u; ++h) {
+    const double lo = sc::fp16_bits_to_fp32(h);
+    const double hi = h + 1 == 0x7C00u
+                          ? 65536.0
+                          : sc::fp16_bits_to_fp32(static_cast<std::uint16_t>(
+                                h + 1));
+    const auto mid = static_cast<float>((lo + hi) / 2);  // 12 bits: exact
+    for (const float x : {std::nextafter(mid, 0.0f), mid,
+                          std::nextafter(mid, 1e9f)}) {
+      in.push_back(x);
+      in.push_back(-x);
+    }
+  }
+  for (const std::uint32_t u :
+       {0x00000000u, 0x00000001u, 0x00012345u, 0x00400000u, 0x007FFFFFu,
+        0x33000000u, 0x33800000u, 0x7F7FFFFFu, 0x7F800000u, 0x7F800001u,
+        0x7F802000u, 0x7FA00000u, 0x7FC00000u, 0x7FC00001u, 0x7FFFFFFFu}) {
+    in.push_back(from_bits(u));
+    in.push_back(from_bits(u | 0x80000000u));
+  }
+  return in;
+}
+
+/// Index of the first element whose bit pattern differs, or -1 (a failure
+/// then reports one element rather than dumping both arrays).
+template <class T>
+long first_diff(const std::vector<T>& a, const std::vector<T>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(T)) != 0) return static_cast<long>(i);
+  }
+  return -1;
+}
+
+bool round_trips(float x) {
+  return std::bit_cast<std::uint32_t>(sc::fp16_bits_to_fp32(
+             sc::fp32_to_fp16_bits(x))) == std::bit_cast<std::uint32_t>(x);
+}
 
 }  // namespace
 
@@ -172,4 +239,103 @@ TEST(Simd, LifStepIntoUsesDispatchedKernel) {
   EXPECT_EQ(fired, fired2);
   EXPECT_EQ(out.v, spk);
   EXPECT_EQ(mem.v, mem2.v);
+}
+
+TEST(Simd, Fp16QuantizeMatchesScalarRoutinesAcrossTiers) {
+  TierGuard guard;
+  const std::vector<float> in = fp16_edge_inputs();
+  const std::size_t n = in.size();
+  ASSERT_NE(0u, n % 16);  // the whole span ends in a scalar tail
+  std::vector<float> expect_v(n);
+  std::vector<std::uint16_t> expect_bits(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_v[i] = sc::fp16_bits_to_fp32(sc::fp32_to_fp16_bits(in[i]));
+    expect_bits[i] = sc::fp32_to_fp16_bits(expect_v[i]);
+  }
+  for (const simd::Tier tier : supported_tiers()) {
+    simd::force_tier(tier);
+    std::vector<float> v = in;
+    std::vector<std::uint16_t> bits(n);
+    simd::fp16_quantize(v.data(), bits.data(), n);
+    const long dv = first_diff(expect_v, v);
+    EXPECT_EQ(-1, dv) << simd::tier_name(tier) << " input bits 0x" << std::hex
+                      << std::bit_cast<std::uint32_t>(in[dv < 0 ? 0 : dv]);
+    const long db = first_diff(expect_bits, bits);
+    EXPECT_EQ(-1, db) << simd::tier_name(tier) << " input bits 0x" << std::hex
+                      << std::bit_cast<std::uint32_t>(in[db < 0 ? 0 : db]);
+    // Short spans at shifting offsets: tail only, one block, block + tail.
+    for (const std::size_t len : {1, 7, 8, 9, 15, 16, 17, 33}) {
+      for (std::size_t off = 0; off + len <= n; off += 997) {
+        std::vector<float> sv(in.begin() + off, in.begin() + off + len);
+        std::vector<std::uint16_t> sb(len);
+        simd::fp16_quantize(sv.data(), sb.data(), len);
+        EXPECT_EQ(0, std::memcmp(sv.data(), &expect_v[off],
+                                 len * sizeof(float)))
+            << simd::tier_name(tier) << " off=" << off << " len=" << len;
+        EXPECT_EQ(0, std::memcmp(sb.data(), &expect_bits[off],
+                                 len * sizeof(std::uint16_t)))
+            << simd::tier_name(tier) << " off=" << off << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(Simd, Fp16PackExactMatchesScalarRoutinesAcrossTiers) {
+  TierGuard guard;
+  const std::vector<float> in = fp16_edge_inputs();
+  const std::size_t n = in.size();
+  for (const simd::Tier tier : supported_tiers()) {
+    simd::force_tier(tier);
+    std::vector<std::uint16_t> bits(n);
+    // Restart one past every rejection, so each element is judged once and
+    // the spans start at every alignment.
+    std::size_t pos = 0;
+    std::size_t rejected = 0;
+    while (pos < n) {
+      const std::size_t got =
+          simd::fp16_pack_exact(in.data() + pos, bits.data() + pos, n - pos);
+      std::size_t expect = pos;
+      while (expect < n && round_trips(in[expect])) ++expect;
+      ASSERT_EQ(expect - pos, got) << simd::tier_name(tier) << " from " << pos;
+      for (std::size_t i = pos; i < expect; ++i) {
+        ASSERT_EQ(sc::fp32_to_fp16_bits(in[i]), bits[i])
+            << simd::tier_name(tier) << " i=" << i;
+      }
+      rejected += expect < n;
+      pos = expect + 1;
+    }
+    // Midpoints, their neighbours, float subnormals and non-canonical NaNs.
+    EXPECT_GT(rejected, 190000u) << simd::tier_name(tier);
+  }
+}
+
+TEST(Simd, Fp16PackExactRejectsAtAnyPosition) {
+  TierGuard guard;
+  sc::Rng rng(66);
+  std::vector<float> exact(300);
+  for (auto& x : exact) {
+    x = sc::quantize(static_cast<float>(rng.uniform() * 8.0 - 4.0),
+                     sc::FpFormat::FP16);
+  }
+  exact[5] = std::numeric_limits<float>::infinity();  // exact, non-finite
+  const float bad[] = {1.0f + 0x1p-12f,  // between two binary16 values
+                       from_bits(0x00000001u),  // float subnormal
+                       from_bits(0x7FC00001u),  // NaN payload lost
+                       from_bits(0xFFC00000u),  // NaN sign lost
+                       65520.0f};               // overflows to Inf
+  for (const simd::Tier tier : supported_tiers()) {
+    simd::force_tier(tier);
+    for (const std::size_t len : {1, 2, 15, 16, 17, 31, 32, 33, 40, 300}) {
+      std::vector<std::uint16_t> bits(len);
+      EXPECT_EQ(len, simd::fp16_pack_exact(exact.data(), bits.data(), len))
+          << simd::tier_name(tier) << " len=" << len;
+      for (std::size_t p = 0; p < len; ++p) {
+        std::vector<float> v(exact.begin(), exact.begin() + len);
+        v[p] = bad[p % std::size(bad)];
+        if (p + 3 < len) v[p + 3] = bad[(p + 1) % std::size(bad)];
+        EXPECT_EQ(p, simd::fp16_pack_exact(v.data(), bits.data(), len))
+            << simd::tier_name(tier) << " len=" << len << " p=" << p;
+      }
+    }
+  }
 }

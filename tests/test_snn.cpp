@@ -1,6 +1,11 @@
 // LIF dynamics, network construction, and the dense golden reference.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <limits>
+#include <type_traits>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "snn/input_gen.hpp"
@@ -10,6 +15,11 @@
 
 namespace snn = spikestream::snn;
 namespace sc = spikestream::common;
+
+// A Reference keeps a reference to its network: building one from a
+// temporary would leave every later step() reading a destroyed network.
+static_assert(!std::is_constructible_v<snn::Reference, snn::Network>);
+static_assert(std::is_constructible_v<snn::Reference, const snn::Network&>);
 
 TEST(Lif, FiresAboveThresholdAndSoftResets) {
   snn::LifParams p;
@@ -106,6 +116,61 @@ TEST(Network, QuantizeIsIdempotent) {
   const auto once = net.weights(1).v;
   net.quantize_weights(sc::FpFormat::FP8);
   EXPECT_EQ(once, net.weights(1).v);
+}
+
+TEST(Network, Fp16QuantizeEqualsScalarQuantizeThenHalf) {
+  // The one-pass FP16 quantize must leave v, half and half_exact exactly as
+  // common::quantize on every weight followed by build_half() does,
+  // non-finite and float-subnormal weights included.
+  snn::Network net = snn::Network::make_tiny();
+  sc::Rng rng(10);
+  net.init_weights(rng);
+  std::vector<float>& v = net.weights(1).v;
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::bit_cast<float>(0xFFC00123u),  // -NaN
+                            std::bit_cast<float>(0x7F800001u),  // sNaN
+                            std::bit_cast<float>(0x00000001u),
+                            -0.0f,
+                            1e6f,
+                            65519.0f};
+  for (std::size_t i = 0; i < std::size(specials); ++i) {
+    v[i * 37 + 3] = specials[i];
+  }
+  snn::Network expect = net;
+  for (std::size_t l = 0; l < expect.num_layers(); ++l) {
+    snn::LayerWeights& w = expect.weights(l);
+    for (float& x : w.v) x = sc::quantize(x, sc::FpFormat::FP16);
+    w.half.clear();
+    for (const float x : w.v) w.half.push_back(sc::fp32_to_fp16_bits(x));
+  }
+  net.quantize_weights(sc::FpFormat::FP16);
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    const snn::LayerWeights& got = net.weights(l);
+    const snn::LayerWeights& want = expect.weights(l);
+    ASSERT_EQ(want.v.size(), got.v.size());
+    EXPECT_EQ(0, std::memcmp(want.v.data(), got.v.data(),
+                             want.v.size() * sizeof(float)))
+        << "layer " << l;
+    EXPECT_EQ(want.half, got.half) << "layer " << l;
+    EXPECT_TRUE(got.half_exact) << "layer " << l;
+  }
+  // build_half() on the rounded weights reproduces the same image.
+  snn::LayerWeights again = net.weights(1);
+  again.build_half();
+  EXPECT_TRUE(again.half_exact);
+  EXPECT_EQ(net.weights(1).half, again.half);
+}
+
+TEST(Network, BuildHalfFreesInexactWeights) {
+  snn::Network net = snn::Network::make_tiny();
+  sc::Rng rng(11);
+  net.init_weights(rng);
+  net.quantize_weights(sc::FpFormat::FP32);  // He weights need float32
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    EXPECT_FALSE(net.weights(l).half_exact) << "layer " << l;
+    EXPECT_EQ(0u, net.weights(l).half.capacity()) << "layer " << l;
+  }
 }
 
 TEST(Reference, ConvCurrentsManualExample) {
