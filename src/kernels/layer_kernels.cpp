@@ -167,18 +167,21 @@ void count_activation(KernelStats& st, const CostParams& p, int simd,
 /// accumulator loads/stores over four streamed row reads.
 void add_rows(float* __restrict__ acc, const void* const* rows,
               std::size_t n_rows, int out_c) {
-  std::size_t r = 0;
-  for (; r + 4 <= n_rows; r += 4) {
-    const float* __restrict__ w0 = static_cast<const float*>(rows[r]);
-    const float* __restrict__ w1 = static_cast<const float*>(rows[r + 1]);
-    const float* __restrict__ w2 = static_cast<const float*>(rows[r + 2]);
-    const float* __restrict__ w3 = static_cast<const float*>(rows[r + 3]);
+  // Walk row pointers up to `end`, not an index up to n_rows: the index
+  // form's tail loop trips GCC's -Waggressive-loop-optimizations on
+  // portable (-march-less) builds.
+  const void* const* const end = rows + n_rows;
+  for (; end - rows >= 4; rows += 4) {
+    const float* __restrict__ w0 = static_cast<const float*>(rows[0]);
+    const float* __restrict__ w1 = static_cast<const float*>(rows[1]);
+    const float* __restrict__ w2 = static_cast<const float*>(rows[2]);
+    const float* __restrict__ w3 = static_cast<const float*>(rows[3]);
     for (int co = 0; co < out_c; ++co) {
       acc[co] = (((acc[co] + w0[co]) + w1[co]) + w2[co]) + w3[co];
     }
   }
-  for (; r < n_rows; ++r) {
-    const float* __restrict__ w0 = static_cast<const float*>(rows[r]);
+  for (; rows != end; ++rows) {
+    const float* __restrict__ w0 = static_cast<const float*>(*rows);
     for (int co = 0; co < out_c; ++co) acc[co] += w0[co];
   }
 }

@@ -321,10 +321,14 @@ void AnalyticalBackend::run_row_tiles(const snn::LayerSpec& spec,
   }
   // Spike count of every tile, lane-major. The buffer is thread_local so
   // the steady state reuses its capacity; the tasks below reach it through
-  // `fired`, never by name (a pool thread would see its own instance).
+  // `fired`, never by name (a pool thread would see its own instance). A
+  // single tile uses the stack, like run_layer_batch's one-lane case.
   static thread_local std::vector<std::size_t> fired_buf;
-  fired_buf.assign(lanes.size() * blocks, 0);
-  const std::span<std::size_t> fired(fired_buf);
+  std::size_t one = 0;
+  const std::size_t tiles = lanes.size() * blocks;
+  if (tiles > 1) fired_buf.assign(tiles, 0);
+  const std::span<std::size_t> fired =
+      tiles > 1 ? std::span(fired_buf) : std::span(&one, tiles);
   for_each_index(pool, fired.size(), [&](std::size_t t) {
     const LayerLane& lane = lanes[t / blocks];
     const std::size_t b = t % blocks;

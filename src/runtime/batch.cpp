@@ -1,7 +1,6 @@
 #include "runtime/batch.hpp"
 
 #include <algorithm>
-#include <span>
 #include <thread>
 
 #include "runtime/worker_pool.hpp"
@@ -41,9 +40,9 @@ void BatchRunner::for_samples(
 }
 
 // Each worker slot keeps one NetworkState for the whole batch: membranes are
-// cleared between samples (run_timesteps / run_event_stream do that, the
-// single-step path clears explicitly) while the scratch arenas inside stay
-// warm, so every sample after the first runs allocation-free.
+// cleared between samples (run_steps / run_event_stream do that) while the
+// scratch arenas inside stay warm, so every sample after the first runs
+// allocation-free.
 
 std::vector<snn::NetworkState> BatchRunner::worker_states(
     std::size_t n_samples) const {
@@ -55,87 +54,53 @@ std::vector<snn::NetworkState> BatchRunner::worker_states(
   return states;
 }
 
+void BatchRunner::run_steps(const std::vector<snn::Tensor>& images,
+                            int timesteps, KeepStep keep) const {
+  const std::size_t n = images.size();
+  if (n == 0 || timesteps <= 0 || engine_.network().num_layers() == 0) {
+    return;
+  }
+  const auto lanes =
+      static_cast<std::size_t>(engine_.options().segment_major_lanes);
+  if (lanes > 1) {
+    const std::size_t W = std::min(n, lanes);
+    std::vector<snn::NetworkState> states(W);
+    std::vector<InferenceResult> steps(W);
+    std::vector<InferenceEngine::BatchLane> wave(W);
+    for (std::size_t i = 0; i < W; ++i) {
+      states[i] = engine_.make_state();
+      wave[i] = {nullptr, nullptr, &states[i], &steps[i]};
+    }
+    run_lockstep_batch(engine_, wave, images, timesteps, pool_.get(), keep);
+    return;
+  }
+  std::vector<snn::NetworkState> states = worker_states(n);
+  std::vector<InferenceResult> steps(states.size());
+  for_samples(n, [&](std::size_t worker, std::size_t i) {
+    states[worker].clear();
+    for (int t = 0; t < timesteps; ++t) {
+      engine_.run(images[i], states[worker], steps[worker]);
+      keep(i, steps[worker]);
+    }
+  });
+}
+
 std::vector<MultiStepResult> BatchRunner::run(
     const std::vector<snn::Tensor>& images, int timesteps) const {
-  if (lockstep()) return run_lockstep(images, timesteps);
   std::vector<MultiStepResult> results(images.size());
-  std::vector<snn::NetworkState> states = worker_states(images.size());
-  for_samples(images.size(), [&](std::size_t worker, std::size_t i) {
-    results[i] = run_timesteps(engine_, states[worker], images[i], timesteps);
+  for (MultiStepResult& r : results) r.timesteps = timesteps;
+  run_steps(images, timesteps, [&](std::size_t i, const InferenceResult& s) {
+    results[i].accumulate_step(s);
   });
   return results;
 }
 
-// --- segment-major lockstep waves -------------------------------------------
-// Wave lanes own one NetworkState each; all lanes advance through the same
-// layer together so segmented FC layers execute as one batch-scope call.
-
-bool BatchRunner::lockstep() const {
-  return engine_.options().segment_major_lanes > 1;
-}
-
-std::size_t BatchRunner::wave_width(std::size_t n) const {
-  return std::min<std::size_t>(
-      std::max<std::size_t>(n, 1),
-      static_cast<std::size_t>(engine_.options().segment_major_lanes));
-}
-
-std::vector<MultiStepResult> BatchRunner::run_lockstep(
-    const std::vector<snn::Tensor>& images, int timesteps) const {
-  const std::size_t n = images.size();
-  const std::size_t layers = engine_.network().num_layers();
-  std::vector<MultiStepResult> results(n);
-  for (MultiStepResult& r : results) r.timesteps = timesteps;
-  if (n == 0 || timesteps <= 0 || layers == 0) return results;
-
-  const std::size_t W = wave_width(n);
-  std::vector<snn::NetworkState> states(W);
-  for (auto& s : states) s = engine_.make_state();
-  std::vector<InferenceResult> steps(W);  // per-lane timestep accumulator
-  std::vector<InferenceEngine::BatchLane> lanes(W);
-  WorkerPool* pool = pool_.get();
-  for (std::size_t w0 = 0; w0 < n; w0 += W) {
-    const std::size_t wn = std::min(W, n - w0);
-    for (std::size_t i = 0; i < wn; ++i) states[i].clear();
-    for (int t = 0; t < timesteps; ++t) {
-      for (std::size_t i = 0; i < wn; ++i) {
-        engine_.begin_sample(steps[i]);
-        lanes[i] = {&images[w0 + i], nullptr, &states[i], &steps[i]};
-      }
-      for (std::size_t l = 0; l < layers; ++l) {
-        engine_.run_layer_batch(l, std::span(lanes.data(), wn), pool);
-      }
-      for (std::size_t i = 0; i < wn; ++i) {
-        results[w0 + i].accumulate_step(steps[i]);
-      }
-    }
-  }
-  return results;
-}
-
-std::vector<InferenceResult> BatchRunner::run_single_step_lockstep(
+std::vector<InferenceResult> BatchRunner::run_single_step(
     const std::vector<snn::Tensor>& images) const {
-  const std::size_t n = images.size();
-  const std::size_t layers = engine_.network().num_layers();
-  std::vector<InferenceResult> results(n);
-  if (n == 0 || layers == 0) return results;
-
-  const std::size_t W = wave_width(n);
-  std::vector<snn::NetworkState> states(W);
-  for (auto& s : states) s = engine_.make_state();
-  std::vector<InferenceEngine::BatchLane> lanes(W);
-  WorkerPool* pool = pool_.get();
-  for (std::size_t w0 = 0; w0 < n; w0 += W) {
-    const std::size_t wn = std::min(W, n - w0);
-    for (std::size_t i = 0; i < wn; ++i) {
-      states[i].clear();
-      engine_.begin_sample(results[w0 + i]);
-      lanes[i] = {&images[w0 + i], nullptr, &states[i], &results[w0 + i]};
-    }
-    for (std::size_t l = 0; l < layers; ++l) {
-      engine_.run_layer_batch(l, std::span(lanes.data(), wn), pool);
-    }
-  }
+  std::vector<InferenceResult> results(images.size());
+  run_steps(images, 1, [&](std::size_t i, const InferenceResult& s) {
+    results[i] = s;
+  });
   return results;
 }
 
@@ -145,18 +110,6 @@ std::vector<MultiStepResult> BatchRunner::run_events(
   std::vector<snn::NetworkState> states = worker_states(streams.size());
   for_samples(streams.size(), [&](std::size_t worker, std::size_t i) {
     results[i] = run_event_stream(engine_, states[worker], streams[i]);
-  });
-  return results;
-}
-
-std::vector<InferenceResult> BatchRunner::run_single_step(
-    const std::vector<snn::Tensor>& images) const {
-  if (lockstep()) return run_single_step_lockstep(images);
-  std::vector<InferenceResult> results(images.size());
-  std::vector<snn::NetworkState> states = worker_states(images.size());
-  for_samples(images.size(), [&](std::size_t worker, std::size_t i) {
-    states[worker].clear();
-    engine_.run(images[i], states[worker], results[i]);
   });
   return results;
 }

@@ -11,14 +11,15 @@
 // per call.
 //
 // Segment-major lockstep: with RunOptions::segment_major_lanes >= 2 the
-// runner switches from sample fan-out to lockstep waves — up to that many
-// samples advance through the network layer by layer *together*, handing all
-// wave lanes to the backend in one call per segmented FC layer
-// (InferenceEngine::run_layer_batch), so each fan-in weight band streams
-// once per wave instead of once per sample. Conv layers of a wave split into
-// row tiles across the pool. Outputs and modeled stats stay bit-identical to
-// the per-sample path (the segment-major accounting is deterministic
-// per-sample, independent of the execution schedule).
+// runner switches from sample fan-out to lockstep waves
+// (InferenceEngine::run_wave) — up to that many samples advance through the
+// network layer by layer *together*, so each fan-in weight band of a
+// segmented FC layer streams once per wave instead of once per sample and
+// conv layers split into row tiles across the pool. Outputs and modeled
+// stats stay bit-identical to the per-sample path (the segment-major
+// accounting is deterministic per-sample, independent of the schedule). The
+// wave lanes are built fresh for every call, so under batch_weight_reuse
+// back-to-back calls on one runner report the same modeled DMA.
 #pragma once
 
 #include <cstddef>
@@ -73,15 +74,10 @@ class BatchRunner {
   /// engage for `n_samples` samples (sized with the same slot formula).
   std::vector<snn::NetworkState> worker_states(std::size_t n_samples) const;
 
-  /// True when the engine's options ask for segment-major lockstep waves.
-  bool lockstep() const;
-  /// Lockstep wave width for an `n`-sample batch.
-  std::size_t wave_width(std::size_t n) const;
-
-  std::vector<MultiStepResult> run_lockstep(
-      const std::vector<snn::Tensor>& images, int timesteps) const;
-  std::vector<InferenceResult> run_single_step_lockstep(
-      const std::vector<snn::Tensor>& images) const;
+  /// `timesteps` steps of every image, each finished step handed to `keep`:
+  /// sample fan-out, or lockstep waves on lanes built fresh for this call.
+  void run_steps(const std::vector<snn::Tensor>& images, int timesteps,
+                 KeepStep keep) const;
 
   InferenceEngine engine_;
   int workers_;

@@ -204,10 +204,13 @@ void InferenceEngine::run_layer_batch(std::size_t l,
   // metric/routing tails — all lanes advance through this layer together.
   // The lane buffer is thread_local so the steady state reuses its capacity;
   // the tasks below reach it through `io`, never by name (a pool thread
-  // would see its own instance).
+  // would see its own instance). A one-lane call (run_layer) uses the stack,
+  // so stepping on a pool thread never grows that thread's buffer.
   static thread_local std::vector<LayerLane> io_buf;
-  io_buf.resize(lanes.size());
-  const std::span<LayerLane> io(io_buf);
+  LayerLane one;
+  if (lanes.size() > 1) io_buf.resize(lanes.size());
+  const std::span<LayerLane> io =
+      lanes.size() > 1 ? std::span(io_buf) : std::span(&one, lanes.size());
   for_each_index(pool, lanes.size(), [&](std::size_t i) {
     io[i] = layer_input(l, lanes[i]);
   });
@@ -217,6 +220,25 @@ void InferenceEngine::run_layer_batch(std::size_t l,
     lane.carry = finish_layer(l, lane.state->scratch(l).main.run, *lane.state,
                               *lane.out);
   });
+}
+
+void InferenceEngine::run_wave(std::span<BatchLane> lanes, int timesteps,
+                               WorkerPool* pool, WaveHooks* hooks) const {
+  WaveHooks none;
+  WaveHooks& h = hooks != nullptr ? *hooks : none;
+  for (BatchLane& lane : lanes) lane.state->clear();
+  for (int t = 0; t < timesteps; ++t) {
+    for (BatchLane& lane : lanes) {
+      begin_sample(*lane.out);
+      lane.carry = nullptr;
+    }
+    for (std::size_t l = 0; l < net_.num_layers(); ++l) {
+      h.before_layer(t, l, lanes);
+      run_layer_batch(l, lanes, pool);
+      h.after_layer(t, l, lanes);
+    }
+    h.after_timestep(t, lanes);
+  }
 }
 
 void InferenceEngine::run_impl(const snn::Tensor* image,

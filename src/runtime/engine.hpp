@@ -132,6 +132,25 @@ class InferenceEngine {
   void run_layer_batch(std::size_t l, std::span<BatchLane> lanes,
                        WorkerPool* pool = nullptr) const;
 
+  /// Observation and injection points of run_wave, called with the
+  /// timestep, the layer (where one applies) and the whole wave. Every
+  /// default is a no-op.
+  struct WaveHooks {
+    virtual ~WaveHooks() = default;
+    virtual void before_layer(int, std::size_t, std::span<BatchLane>) {}
+    virtual void after_layer(int, std::size_t, std::span<BatchLane>) {}
+    virtual void after_timestep(int, std::span<BatchLane>) {}
+  };
+
+  /// One lockstep wave, the only one in the runtime: clear every lane's
+  /// state, then per timestep begin_sample each lane's `out`, feed `image`
+  /// to layer 0 and run_layer_batch every layer — each lane finishes layer
+  /// l before any lane starts layer l + 1. A lane's weight residency
+  /// (KernelScratch::weights_warm) survives the clear, so under
+  /// batch_weight_reuse the caller's lane lifetime sets the modeled DMA.
+  void run_wave(std::span<BatchLane> lanes, int timesteps, WorkerPool* pool,
+                WaveHooks* hooks = nullptr) const;
+
   /// Fresh zeroed membrane state shaped for this engine's network, with the
   /// scratch arenas pre-sized for the backend's execution shape (one shard
   /// lane per planned cluster on the sharded backend).

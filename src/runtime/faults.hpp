@@ -41,10 +41,10 @@
 // retry-recoverable because every attempt restores/regenerates the buffer.
 //
 // The plan is pure data: the InferenceServer applies structural events to
-// its ShardedBackend at wave boundaries and injects transient throws and
-// data flips inside the wave body. Tests and benches can also drive the
-// backend's fault surface (fail_cluster / set_cluster_slowdown /
-// set_link_degrade) directly.
+// its ShardedBackend at wave boundaries; transient throws and data flips are
+// injected inside the wave body by runtime/integrity.hpp's WaveIntegrity
+// hooks. Tests and benches can also drive the backend's fault surface
+// (fail_cluster / set_cluster_slowdown / set_link_degrade) directly.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +77,8 @@ enum class FaultKind {
 const char* fault_kind_name(FaultKind k);
 
 /// True for the silent-data-corruption kinds (bit/byte flips in live
-/// buffers), which the server injects inside the wave body rather than
-/// applying at the wave boundary.
+/// buffers), which are injected inside the wave body rather than applied at
+/// the wave boundary.
 constexpr bool is_data_fault(FaultKind k) {
   return k == FaultKind::kWeightBitFlip || k == FaultKind::kSpikePayloadFlip ||
          k == FaultKind::kMembraneFlip;

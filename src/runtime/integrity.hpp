@@ -40,10 +40,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "common/function_ref.hpp"
 #include "common/simd.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/faults.hpp"
+#include "runtime/multistep.hpp"
 #include "snn/network.hpp"
 #include "snn/tensor.hpp"
 
@@ -151,5 +156,102 @@ void flip_spike_byte(snn::SpikeMap& m, std::uint64_t byte);
 /// Flip one bit of one membrane potential. `bit` reduced mod the tensor's
 /// total float-bit count.
 void flip_membrane_bit(snn::Tensor& t, std::uint64_t bit);
+
+// --- the serving wave's integrity protocol ---------------------------------
+
+/// One wave's integrity accounting, flushed into ServerStats by the server.
+struct IntegrityCounters {
+  std::uint64_t checks = 0;        ///< seal verifications performed
+  std::uint64_t mismatches = 0;    ///< verifications that failed
+  std::uint64_t injected = 0;      ///< data-fault flips physically applied
+  std::uint64_t sealed_bytes = 0;  ///< bytes sealed or verified
+  bool ran_shadow = false;         ///< the wave ran a redundant shadow pass
+};
+
+/// What one served wave does besides executing: it injects the FaultPlan
+/// events that strike inside the wave body (transient throws and weight /
+/// spike / membrane flips) and checks the seals that catch them. Inside a
+/// pass these are run_wave hooks: membrane flips before a layer; the plan's
+/// transient, the handoff seal and payload flips after one; output flips
+/// and the chained completion seal after each timestep. Around the passes,
+/// run_attempt handles weight flips, the admission and weight seals and the
+/// redundant compare. Injections land only on the primary pass of an
+/// event's leading `failures` attempts.
+class WaveIntegrity : public InferenceEngine::WaveHooks {
+ public:
+  using BatchLane = InferenceEngine::BatchLane;
+
+  /// Seals every weight slice when checksum_weights is armed (construction
+  /// is the trust anchor: nothing has run yet); sizes buffers for waves of
+  /// up to `max_lanes` lanes and `max_faults` events.
+  WaveIntegrity(InferenceEngine& engine, const IntegrityConfig& cfg,
+                std::size_t max_lanes, std::size_t max_faults);
+
+  /// The seal submit() puts on a request's input: Seal{} unless
+  /// checksum_spikes is armed. Thread-safe (client threads call it).
+  Seal admission_seal(const snn::Tensor* image) const {
+    return cfg_.checksum_spikes && image ? seal_tensor(*image) : Seal{};
+  }
+
+  /// Arm the next wave: zero the counters, drop the last wave's events.
+  /// `wave_index` paces weight_check_period; `redundant` adds a shadow pass.
+  void begin_wave(std::uint64_t wave_index, bool redundant);
+  /// Schedule a transient or data event on the armed wave. The wave's
+  /// leading attempts throw TransientFault, as many as its transient events
+  /// ask for in total.
+  void add_fault(const FaultEvent& e);
+  /// Lane `i`'s input seal, as submit() computed it.
+  void admit(std::size_t i, const Seal& s) { admitted_[i] = s; }
+
+  /// One attempt of the armed wave: plant its weight flips, verify the
+  /// admission and weight seals, run `pass(true)` (the primary pass, with
+  /// this object as its hooks and each lane's finished timestep handed to
+  /// `keep`), undo the flips; on a redundant wave run `pass(false)` and
+  /// compare the output seals. Throws IntegrityFault on a mismatch (weights
+  /// restored) and TransientFault on a scheduled transient.
+  void run_attempt(int attempt, std::span<const BatchLane> lanes,
+                   KeepStep keep, common::FunctionRef<void(bool)> pass);
+
+  /// Lane `i`'s chained output seal from the last primary pass.
+  Seal output_seal(std::size_t i) const { return out_[0][i]; }
+  const IntegrityCounters& counters() const { return counters_; }
+
+  void before_layer(int t, std::size_t l,
+                    std::span<BatchLane> lanes) override;
+  void after_layer(int t, std::size_t l, std::span<BatchLane> lanes) override;
+  void after_timestep(int t, std::span<BatchLane> lanes) override;
+
+ private:
+  /// `e` is a `kind` event corrupting the current pass.
+  bool fires(const FaultEvent& e, FaultKind kind) const {
+    return primary_ && e.kind == kind && attempt_ < e.failures;
+  }
+  std::size_t layer_of(const FaultEvent& e) const {
+    return static_cast<std::size_t>(e.layer) % engine_.network().num_layers();
+  }
+  /// Count a seal check; on a mismatch throw IntegrityFault(what + at).
+  void verify(const Seal& got, const Seal& want, const char* what,
+              std::size_t at);
+  /// Toggle the attempt's weight flips (a second call restores the weights);
+  /// returns how many it toggled.
+  std::uint64_t toggle_weight_flips();
+  /// Plant the payload flips aimed at layer `l`'s output on lane `lane`.
+  void flip_payload(std::size_t l, std::size_t lane, std::size_t lanes,
+                    snn::SpikeMap& m);
+
+  InferenceEngine& engine_;
+  IntegrityConfig cfg_;
+  std::vector<Seal> weight_seals_;  ///< golden, from construction
+  std::vector<FaultEvent> faults_;  ///< the armed wave's data events
+  std::vector<Seal> admitted_;      ///< per lane, from submit()
+  std::vector<Seal> out_[2];        ///< per lane: primary, shadow pass
+  IntegrityCounters counters_;
+  const KeepStep* keep_ = nullptr;  ///< valid inside run_attempt only
+  std::uint64_t wave_index_ = 0;
+  int transient_failures_ = 0;
+  bool redundant_ = false;
+  bool primary_ = true;
+  int attempt_ = 0;
+};
 
 }  // namespace spikestream::runtime

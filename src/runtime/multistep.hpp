@@ -6,8 +6,11 @@
 // immutable engine can serve many concurrent samples (see BatchRunner).
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "runtime/engine.hpp"
 #include "snn/state.hpp"
 
@@ -77,6 +80,38 @@ inline MultiStepResult run_event_stream(
     r.accumulate_step(step);
   }
   return r;
+}
+
+/// Receives one sample's finished timestep: keep(sample, step).
+using KeepStep =
+    common::FunctionRef<void(std::size_t, const InferenceResult&)>;
+
+/// Lockstep batch: `images` in waves of `lanes.size()` samples, each wave one
+/// InferenceEngine::run_wave. The caller owns the lanes (their `state` and
+/// `out` are kept, `image` is set per wave), and with them the weight
+/// residency each lane carries from wave to wave. `keep` receives every
+/// sample's result after each of its timesteps.
+inline void run_lockstep_batch(const InferenceEngine& engine,
+                               std::span<InferenceEngine::BatchLane> lanes,
+                               const std::vector<snn::Tensor>& images,
+                               int timesteps, WorkerPool* pool,
+                               KeepStep keep) {
+  struct Keep final : InferenceEngine::WaveHooks {
+    explicit Keep(KeepStep k) : fn(k) {}
+    void after_timestep(int, std::span<InferenceEngine::BatchLane> wave)
+        override {
+      for (std::size_t i = 0; i < wave.size(); ++i) fn(first + i, *wave[i].out);
+    }
+    KeepStep fn;
+    std::size_t first = 0;  ///< sample index of the wave's lane 0
+  } hooks(keep);
+  const std::size_t W = lanes.size();
+  for (std::size_t w0 = 0; w0 < images.size(); w0 += W) {
+    const std::size_t wn = std::min(W, images.size() - w0);
+    for (std::size_t i = 0; i < wn; ++i) lanes[i].image = &images[w0 + i];
+    hooks.first = w0;
+    engine.run_wave(lanes.first(wn), timesteps, pool, &hooks);
+  }
 }
 
 /// Stateful conveniences: run on the engine's internal state (resets first).

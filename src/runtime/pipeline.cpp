@@ -1,7 +1,6 @@
 #include "runtime/pipeline.hpp"
 
 #include <algorithm>
-#include <span>
 #include <thread>
 #include <utility>
 
@@ -95,121 +94,53 @@ void PipelinedBatchRunner::run_stages(
   }
 }
 
-// --- segment-major lockstep waves -------------------------------------------
-
-bool PipelinedBatchRunner::lockstep() const {
-  return engine_.options().segment_major_lanes > 1;
-}
-
-std::vector<MultiStepResult> PipelinedBatchRunner::run_lockstep(
-    const std::vector<snn::Tensor>& images, int timesteps) const {
-  const std::size_t n = images.size();
+void PipelinedBatchRunner::run_steps(const std::vector<snn::Tensor>& images,
+                                     int timesteps, KeepStep keep) const {
   const std::size_t layers = engine_.network().num_layers();
-  std::vector<MultiStepResult> results(n);
-  for (MultiStepResult& r : results) r.timesteps = timesteps;
-  if (n == 0 || timesteps <= 0 || layers == 0) return results;
-
-  std::vector<Lane> lanes = borrow_lanes(n);
-  const std::size_t W = lanes.size();
-  std::vector<InferenceEngine::BatchLane> wave(W);
-  for (std::size_t w0 = 0; w0 < n; w0 += W) {
-    const std::size_t wn = std::min(W, n - w0);
-    for (std::size_t i = 0; i < wn; ++i) lanes[i].state.clear();
-    for (int t = 0; t < timesteps; ++t) {
-      for (std::size_t i = 0; i < wn; ++i) {
-        engine_.begin_sample(lanes[i].step);
-        wave[i] = {&images[w0 + i], nullptr, &lanes[i].state,
-                   &lanes[i].step};
-      }
-      for (std::size_t l = 0; l < layers; ++l) {
-        engine_.run_layer_batch(l, std::span(wave.data(), wn), pool_.get());
-      }
-      for (std::size_t i = 0; i < wn; ++i) {
-        results[w0 + i].accumulate_step(lanes[i].step);
-      }
+  if (images.empty() || timesteps <= 0 || layers == 0) return;
+  std::vector<Lane> lanes = borrow_lanes(images.size());
+  if (engine_.options().segment_major_lanes > 1) {
+    std::vector<InferenceEngine::BatchLane> wave;
+    wave.reserve(lanes.size());
+    for (Lane& lane : lanes) {
+      wave.push_back({nullptr, nullptr, &lane.state, &lane.step});
     }
+    run_lockstep_batch(engine_, wave, images, timesteps, pool_.get(), keep);
+  } else {
+    run_stages(
+        images.size(), static_cast<std::size_t>(timesteps) * layers,
+        [&](std::size_t sample, std::size_t stage, Lane& lane) {
+          const std::size_t l = stage % layers;
+          if (stage == 0) lane.state.clear();
+          if (l == 0) {
+            engine_.begin_sample(lane.step);
+            lane.carry = nullptr;
+          }
+          lane.carry = engine_.run_layer(l, &images[sample], lane.carry,
+                                         lane.state, lane.step);
+          if (l + 1 == layers) keep(sample, lane.step);
+        },
+        lanes);
   }
   return_lanes(std::move(lanes));
-  return results;
-}
-
-std::vector<InferenceResult> PipelinedBatchRunner::run_single_step_lockstep(
-    const std::vector<snn::Tensor>& images) const {
-  const std::size_t n = images.size();
-  const std::size_t layers = engine_.network().num_layers();
-  std::vector<InferenceResult> results(n);
-  if (n == 0 || layers == 0) return results;
-
-  std::vector<Lane> lanes = borrow_lanes(n);
-  const std::size_t W = lanes.size();
-  std::vector<InferenceEngine::BatchLane> wave(W);
-  for (std::size_t w0 = 0; w0 < n; w0 += W) {
-    const std::size_t wn = std::min(W, n - w0);
-    for (std::size_t i = 0; i < wn; ++i) {
-      lanes[i].state.clear();
-      engine_.begin_sample(results[w0 + i]);
-      wave[i] = {&images[w0 + i], nullptr, &lanes[i].state,
-                 &results[w0 + i]};
-    }
-    for (std::size_t l = 0; l < layers; ++l) {
-      engine_.run_layer_batch(l, std::span(wave.data(), wn), pool_.get());
-    }
-  }
-  return_lanes(std::move(lanes));
-  return results;
 }
 
 std::vector<MultiStepResult> PipelinedBatchRunner::run(
     const std::vector<snn::Tensor>& images, int timesteps) const {
-  if (lockstep()) return run_lockstep(images, timesteps);
-  const std::size_t layers = engine_.network().num_layers();
   std::vector<MultiStepResult> results(images.size());
   for (MultiStepResult& r : results) r.timesteps = timesteps;
-  if (timesteps <= 0 || layers == 0) return results;
-
-  const std::size_t stages = static_cast<std::size_t>(timesteps) * layers;
-  std::vector<Lane> lanes = borrow_lanes(images.size());
-  run_stages(
-      images.size(), stages,
-      [&](std::size_t sample, std::size_t stage, Lane& lane) {
-        const std::size_t l = stage % layers;
-        if (stage == 0) lane.state.clear();
-        if (l == 0) {
-          engine_.begin_sample(lane.step);
-          lane.carry = nullptr;
-        }
-        lane.carry = engine_.run_layer(l, &images[sample], lane.carry,
-                                       lane.state, lane.step);
-        if (l + 1 == layers) results[sample].accumulate_step(lane.step);
-      },
-      lanes);
-  return_lanes(std::move(lanes));
+  run_steps(images, timesteps, [&](std::size_t i, const InferenceResult& s) {
+    results[i].accumulate_step(s);
+  });
   return results;
 }
 
 std::vector<InferenceResult> PipelinedBatchRunner::run_single_step(
     const std::vector<snn::Tensor>& images) const {
-  if (lockstep()) return run_single_step_lockstep(images);
-  const std::size_t layers = engine_.network().num_layers();
   std::vector<InferenceResult> results(images.size());
-  if (layers == 0) return results;
-
-  std::vector<Lane> lanes = borrow_lanes(images.size());
-  run_stages(
-      images.size(), layers,
-      [&](std::size_t sample, std::size_t stage, Lane& lane) {
-        // Single-step keeps every sample's full InferenceResult: layers
-        // write straight into results[sample], no per-sample copy.
-        if (stage == 0) {
-          lane.state.clear();
-          engine_.begin_sample(results[sample]);
-          lane.carry = nullptr;
-        }
-        lane.carry = engine_.run_layer(stage, &images[sample], lane.carry,
-                                       lane.state, results[sample]);
-      },
-      lanes);
-  return_lanes(std::move(lanes));
+  run_steps(images, 1, [&](std::size_t i, const InferenceResult& s) {
+    results[i] = s;
+  });
   return results;
 }
 

@@ -34,11 +34,11 @@
 // lanes at the same segmented FC layer so each weight band streams once for
 // the whole set. With segment_major_lanes >= 2 the runner therefore trades
 // stage overlap for lockstep waves: `depth` samples advance layer by layer
-// together through InferenceEngine::run_layer_batch (conv layers as row
-// tiles on the pool, segmented FC layers as one band-major sweep).
-// Both schedules overlap the same host work; outputs and modeled stats stay
-// bit-identical to the serial path either way, and lanes keep their
-// weight-residency history across calls exactly as before.
+// together through InferenceEngine::run_wave (conv layers as row tiles on
+// the pool, segmented FC layers as one band-major sweep). Both schedules
+// overlap the same host work; outputs and modeled stats stay bit-identical
+// to the serial path either way, and the waves run on the same warm lanes,
+// so their weight-residency history carries across calls too.
 #pragma once
 
 #include <cstddef>
@@ -104,14 +104,10 @@ class PipelinedBatchRunner {
       common::FunctionRef<void(std::size_t, std::size_t, Lane&)> step,
       std::vector<Lane>& lanes) const;
 
-  /// True when the engine's options ask for segment-major lockstep waves
-  /// instead of stage overlap.
-  bool lockstep() const;
-
-  std::vector<MultiStepResult> run_lockstep(
-      const std::vector<snn::Tensor>& images, int timesteps) const;
-  std::vector<InferenceResult> run_single_step_lockstep(
-      const std::vector<snn::Tensor>& images) const;
+  /// `timesteps` steps of every image, each finished step handed to `keep`:
+  /// stage overlap, or lockstep waves on the same warm lanes.
+  void run_steps(const std::vector<snn::Tensor>& images, int timesteps,
+                 KeepStep keep) const;
 
   InferenceEngine engine_;
   int depth_;

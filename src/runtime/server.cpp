@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <string>
+#include <span>
 #include <thread>
 
 #include "runtime/backend_sharded.hpp"
@@ -37,11 +37,13 @@ InferenceServer::InferenceServer(const snn::Network& net,
                                  const arch::EnergyParams& energy)
     : engine_(net, opt, backend, energy),
       cfg_(server),
-      queue_(server.queue_capacity) {
+      max_lanes_(cfg_.max_wave_lanes > 0
+                     ? cfg_.max_wave_lanes
+                     : std::max(1, engine_.options().segment_major_lanes)),
+      queue_(server.queue_capacity),
+      integrity_(engine_, cfg_.integrity, static_cast<std::size_t>(max_lanes_),
+                 cfg_.faults.size()) {
   sharded_ = dynamic_cast<const ShardedBackend*>(&engine_.backend());
-  max_lanes_ = cfg_.max_wave_lanes > 0
-                   ? cfg_.max_wave_lanes
-                   : std::max(1, engine_.options().segment_major_lanes);
   cfg_.min_wave_lanes = std::clamp(cfg_.min_wave_lanes, 1, max_lanes_);
   delay_ns_ = std::max<std::int64_t>(0, cfg_.max_queue_delay_us) * 1000;
   // Throughput-safe start: the controller begins at full lanes and shrinks
@@ -65,22 +67,11 @@ InferenceServer::InferenceServer(const snn::Network& net,
   wave_.resize(lanes, nullptr);
   enqueue_snap_.resize(lanes, 0);
   states_.resize(lanes);
-  for (auto& s : states_) s = engine_.make_state();
   steps_.resize(lanes);
   lanes_.resize(lanes);
-  out_crc_.resize(lanes, 0);
-  out_bytes_.resize(lanes, 0);
-  wave_data_faults_.reserve(cfg_.faults.size());
-
-  // Golden weight seals: computed once over the quantized slices the engine
-  // will actually stream, then verified before every wave attempt touches
-  // them. Construction-time is the trust anchor — nothing has run yet.
-  if (cfg_.integrity.checksum_weights) {
-    const std::size_t n = engine_.network().num_layers();
-    weight_seals_.reserve(n);
-    for (std::size_t l = 0; l < n; ++l) {
-      weight_seals_.push_back(seal_weights(engine_.network().weights(l)));
-    }
+  for (std::size_t i = 0; i < lanes; ++i) {
+    states_[i] = engine_.make_state();
+    lanes_[i] = {nullptr, nullptr, &states_[i], &steps_[i]};
   }
 
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -108,11 +99,7 @@ bool InferenceServer::submit(ServeRequest& req) {
   // wave forms — the first sealed boundary of the dataflow. Computed here on
   // the client's thread (lock-free, allocation-free like the rest of
   // submit()); the modeled checker bytes are accounted at verify time.
-  if (cfg_.integrity.checksum_spikes && req.image != nullptr) {
-    req.input_seal = seal_tensor(*req.image);
-  } else {
-    req.input_seal = Seal{};
-  }
+  req.input_seal = integrity_.admission_seal(req.image);
   req.result_seal = Seal{};
   req.state.store(ServeRequest::kQueued, std::memory_order_relaxed);
   req.enqueue_ns = now_ns();
@@ -240,10 +227,8 @@ void InferenceServer::shed_expired(ServeRequest* req, std::uint64_t now) {
   ++stats_.timed_out;
 }
 
-int InferenceServer::apply_fault_events() {
+void InferenceServer::apply_fault_events() {
   const auto& events = cfg_.faults.events();
-  int transient_failures = 0;
-  wave_data_faults_.clear();
   while (next_fault_ < events.size() &&
          events[next_fault_].wave <= wave_index_) {
     const FaultEvent& e = events[next_fault_++];
@@ -271,30 +256,26 @@ int InferenceServer::apply_fault_events() {
           ++stats_.faults_applied;
         }
         break;
-      case FaultKind::kTransientWaveError:
-        transient_failures += std::max(1, e.failures);
-        break;
-      case FaultKind::kWeightBitFlip:
-      case FaultKind::kSpikePayloadFlip:
-      case FaultKind::kMembraneFlip:
-        // Data events corrupt this wave's leading attempts from inside the
-        // wave body; collect them for execute_wave's injection points.
-        wave_data_faults_.push_back(e);
+      default:
+        // Transient and data events strike this wave's leading attempts
+        // from inside the wave body, where the integrity layer plants them.
+        integrity_.add_fault(e);
         break;
     }
   }
-  return transient_failures;
 }
 
 void InferenceServer::ensure_shadow() {
   if (!shadow_states_.empty()) return;
   const auto lanes = static_cast<std::size_t>(max_lanes_);
   shadow_states_.resize(lanes);
-  for (auto& s : shadow_states_) s = engine_.make_state();
   shadow_steps_.resize(lanes);
   shadow_lanes_.resize(lanes);
-  shadow_crc_.resize(lanes, 0);
-  shadow_bytes_.resize(lanes, 0);
+  for (std::size_t i = 0; i < lanes; ++i) {
+    shadow_states_[i] = engine_.make_state();
+    shadow_lanes_[i] = {nullptr, nullptr, &shadow_states_[i],
+                        &shadow_steps_[i]};
+  }
 }
 
 void InferenceServer::execute_wave(std::size_t wn, int target,
@@ -318,231 +299,53 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
     if (wn == 0) return;
   }
 
-  const int transient_failures = apply_fault_events();
-
-  const std::size_t layers = engine_.network().num_layers();
-  const int timesteps = std::max(1, cfg_.timesteps);
-  const std::uint64_t t_dispatch = now_ns();
-  const std::size_t backlog = queue_.size_approx();
-
-  for (std::size_t i = 0; i < wn; ++i) wave_[i]->dispatch_ns = t_dispatch;
-
-  // Data-integrity wave context: a wave runs redundantly when the server
-  // default says so or any member request opted in. Counters are wave-local
-  // and flushed under the stats lock exactly once.
-  const IntegrityConfig& integ = cfg_.integrity;
-  bool redundant = integ.redundant_lanes;
+  // A wave runs redundantly when the server default says so or any member
+  // request opted in.
+  bool redundant = cfg_.integrity.redundant_lanes;
   for (std::size_t i = 0; i < wn && !redundant; ++i) {
     redundant = wave_[i]->redundant;
   }
   if (redundant) ensure_shadow();
-  const bool seal_outputs = integ.checksum_spikes || redundant;
-  std::uint64_t checks = 0, mismatches = 0, ifaults = 0, injected = 0;
-  std::uint64_t sealed_bytes = 0;
+  integrity_.begin_wave(wave_index_, redundant);
+  apply_fault_events();
 
-  const auto target_layer = [&](const FaultEvent& e) {
-    return static_cast<std::size_t>(e.layer) % layers;
-  };
-  const auto target_lane = [&](const FaultEvent& e) {
-    return static_cast<std::size_t>(e.lane) % wn;
-  };
-  // Weight flips are engine-global (every pass reads the same quantized
-  // slices), so they are applied right before a primary pass and undone
-  // right after — the involution makes undo == re-apply — which both makes
-  // retries past the failure budget run clean and models the shadow pass's
-  // disjoint clusters owning uncorrupted weight copies.
-  const auto toggle_weight_flips = [&](int attempt) {
-    for (const FaultEvent& e : wave_data_faults_) {
-      if (e.kind == FaultKind::kWeightBitFlip && attempt < e.failures) {
-        flip_weight_bit(engine_.mutable_weights(target_layer(e)), e.bit);
-      }
-    }
-  };
+  const int timesteps = std::max(1, cfg_.timesteps);
+  const std::uint64_t t_dispatch = now_ns();
+  const std::size_t backlog = queue_.size_approx();
+  for (std::size_t i = 0; i < wn; ++i) {
+    ServeRequest* req = wave_[i];
+    req->dispatch_ns = t_dispatch;
+    integrity_.admit(i, req->input_seal);
+    lanes_[i].image = req->image;
+    if (redundant) shadow_lanes_[i].image = req->image;
+  }
+  const std::span primary(lanes_.data(), wn);
+  const std::span shadow(shadow_lanes_.data(), redundant ? wn : 0);
 
-  // The offline lockstep path, verbatim: all lanes advance through the same
-  // layer together (InferenceEngine::run_layer_batch) — segmented FC layers
-  // stream each weight band once per wave, conv layers split into row tiles
-  // on the pool, so even a one-lane wave uses every pool thread. Every
-  // attempt starts from a clean lane state and an empty
-  // accumulator (reset without surrendering capacity, so a recycled slot
-  // stays allocation-free), so a retried wave re-runs from timestep 0 and —
-  // the engine being deterministic — lands bit-identical to a clean run.
-  //
-  // `primary` distinguishes the served pass from the redundant shadow pass:
-  // injections and seal verification run on the primary only (the shadow
-  // models disjoint clusters, which the localized flip does not reach), and
-  // only the primary accumulates into the requests' results. Both passes
-  // chain their per-timestep completion seals for the redundancy compare.
+  // Every attempt re-runs the wave from a clean lane state (run_wave clears
+  // it) and an empty accumulator (reset without surrendering capacity, so a
+  // recycled slot stays allocation-free), so a retried wave — the engine
+  // being deterministic — lands bit-identical to a clean run. The integrity
+  // layer wraps the passes; only the primary pass is served.
   WorkerPool* pool = pool_.get();
-  const auto run_pass = [&](int attempt, bool primary) {
-    auto& states = primary ? states_ : shadow_states_;
-    auto& steps = primary ? steps_ : shadow_steps_;
-    auto& lanes = primary ? lanes_ : shadow_lanes_;
-    auto& ocrc = primary ? out_crc_ : shadow_crc_;
-    auto& obytes = primary ? out_bytes_ : shadow_bytes_;
-    for (std::size_t i = 0; i < wn; ++i) {
-      states[i].clear();
-      ocrc[i] = 0;
-      obytes[i] = 0;
-      if (primary) {
-        ServeRequest* req = wave_[i];
-        req->result.timesteps = timesteps;
-        req->result.spike_counts.clear();
-        req->result.cycles_per_step.clear();
-        req->result.total_cycles = 0;
-        req->result.total_energy_mj = 0;
-      }
-    }
-    // Admission boundary: re-seal each input and compare against the seal
-    // submit() computed (corruption while queued). The modeled checker ran
-    // twice per image — once at admission, once here.
-    if (primary && integ.checksum_spikes) {
-      for (std::size_t i = 0; i < wn; ++i) {
-        if (wave_[i]->image == nullptr) continue;
-        const Seal s = seal_tensor(*wave_[i]->image);
-        sealed_bytes += 2 * s.bytes;
-        ++checks;
-        if (s != wave_[i]->input_seal) {
-          ++mismatches;
-          throw IntegrityFault("admission seal mismatch");
-        }
-      }
-    }
-    // Weight boundary: every slice the attempt will stream must still match
-    // its construction-time seal — this is what turns an injected weight
-    // flip from a silently wrong answer into a detected, retryable fault.
-    // A weight_check_period > 1 amortizes the re-hash scrub-style over the
-    // wave sequence (weights are static; see IntegrityConfig).
-    const bool weights_due =
-        integ.weight_check_period <= 1 ||
-        wave_index_ % integ.weight_check_period == 0;
-    if (primary && integ.checksum_weights && weights_due) {
-      for (std::size_t l = 0; l < layers; ++l) {
-        const Seal s = seal_weights(engine_.network().weights(l));
-        sealed_bytes += s.bytes;
-        ++checks;
-        if (s != weight_seals_[l]) {
-          ++mismatches;
-          throw IntegrityFault("weight seal mismatch at layer " +
-                               std::to_string(l));
-        }
-      }
-    }
-    for (int t = 0; t < timesteps; ++t) {
-      for (std::size_t i = 0; i < wn; ++i) {
-        engine_.begin_sample(steps[i]);
-        lanes[i] = {wave_[i]->image, nullptr, &states[i], &steps[i]};
-      }
-      for (std::size_t l = 0; l < layers; ++l) {
-        // Membrane SDC: flip live neuron state right before the layer
-        // integrates it. Unsealed path — only the redundancy compare below
-        // can catch this one. No undo needed: every attempt clears state.
-        if (primary && t == 0) {
-          for (const FaultEvent& e : wave_data_faults_) {
-            if (e.kind == FaultKind::kMembraneFlip && attempt < e.failures &&
-                target_layer(e) == l) {
-              flip_membrane_bit(states[target_lane(e)].membrane(l), e.bit);
-              ++injected;
-            }
-          }
-        }
-        engine_.run_layer_batch(l, std::span(lanes.data(), wn), pool);
-        // Injected transients fire mid-wave (after the first layer already
-        // dirtied lane state) so a retry genuinely exercises the reset path.
-        if (primary && t == 0 && l == 0 && attempt < transient_failures) {
-          throw TransientFault("injected transient wave fault");
-        }
-        // Handoff boundary: seal the spike carry layer l produced, model the
-        // transit (where a payload flip may land), verify on the consuming
-        // side before layer l+1 integrates it.
-        if (primary && l + 1 < layers &&
-            (integ.checksum_spikes || !wave_data_faults_.empty())) {
-          for (std::size_t i = 0; i < wn; ++i) {
-            const snn::SpikeMap* carry = lanes[i].carry;
-            if (carry == nullptr) continue;
-            Seal s{};
-            if (integ.checksum_spikes) {
-              s = seal_spikes(*carry);
-              sealed_bytes += s.bytes;
-            }
-            if (t == 0) {
-              for (const FaultEvent& e : wave_data_faults_) {
-                if (e.kind == FaultKind::kSpikePayloadFlip &&
-                    attempt < e.failures && target_layer(e) == l &&
-                    target_lane(e) == i) {
-                  // The carry aliases lane-owned scratch; corrupting it in
-                  // place is exactly what NoC transit corruption does.
-                  flip_spike_byte(const_cast<snn::SpikeMap&>(*carry), e.bit);
-                  ++injected;
-                }
-              }
-            }
-            if (integ.checksum_spikes) {
-              const Seal v = seal_spikes(*carry);
-              sealed_bytes += v.bytes;
-              ++checks;
-              if (v != s) {
-                ++mismatches;
-                throw IntegrityFault("handoff seal mismatch after layer " +
-                                     std::to_string(l));
-              }
-            }
-          }
-        }
-      }
-      for (std::size_t i = 0; i < wn; ++i) {
-        // Payload flips targeting the last layer land on the final output
-        // map itself — past the last sealed handoff, before the completion
-        // seal covers it, so checksum mode cannot see them (the redundancy
-        // compare can; bench/integrity_profile demonstrates the escape).
-        if (primary && t == 0) {
-          for (const FaultEvent& e : wave_data_faults_) {
-            if (e.kind == FaultKind::kSpikePayloadFlip &&
-                attempt < e.failures && target_layer(e) == layers - 1 &&
-                target_lane(e) == i && !steps[i].final_output.v.empty()) {
-              flip_spike_byte(steps[i].final_output, e.bit);
-              ++injected;
-            }
-          }
-        }
-        if (seal_outputs) {
-          const auto& fo = steps[i].final_output.v;
-          ocrc[i] = common::simd::crc32c(fo.data(), fo.size(), ocrc[i]);
-          obytes[i] += fo.size();
-          sealed_bytes += fo.size();
-        }
-        if (primary) wave_[i]->result.accumulate_step(steps[i]);
-      }
-    }
-  };
-
-  bool ran_shadow = false;
   const auto run_attempt = [&](int attempt) {
-    toggle_weight_flips(attempt);  // apply
-    for (const FaultEvent& e : wave_data_faults_) {
-      if (e.kind == FaultKind::kWeightBitFlip && attempt < e.failures) {
-        ++injected;
-      }
+    for (std::size_t i = 0; i < wn; ++i) {
+      MultiStepResult& r = wave_[i]->result;
+      r.timesteps = timesteps;
+      r.spike_counts.clear();
+      r.cycles_per_step.clear();
+      r.total_cycles = 0;
+      r.total_energy_mj = 0;
     }
-    try {
-      run_pass(attempt, /*primary=*/true);
-    } catch (...) {
-      toggle_weight_flips(attempt);  // undo before the retry machinery runs
-      throw;
-    }
-    toggle_weight_flips(attempt);  // undo (shadow reads clean weights)
-    if (redundant) {
-      ran_shadow = true;
-      run_pass(attempt, /*primary=*/false);
-      for (std::size_t i = 0; i < wn; ++i) {
-        ++checks;
-        if (out_crc_[i] != shadow_crc_[i] || out_bytes_[i] != shadow_bytes_[i]) {
-          ++mismatches;
-          throw IntegrityFault("redundant-lane output divergence on lane " +
-                               std::to_string(i));
-        }
-      }
-    }
+    integrity_.run_attempt(
+        attempt, primary,
+        [&](std::size_t i, const InferenceResult& step) {
+          wave_[i]->result.accumulate_step(step);
+        },
+        [&](bool is_primary) {
+          engine_.run_wave(is_primary ? primary : shadow, timesteps, pool,
+                           &integrity_);
+        });
   };
 
   // Exception containment: a throwing wave fails only this wave's requests.
@@ -556,26 +359,16 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   int attempt = 0;
   std::uint64_t retries = 0;
   std::uint64_t transients = 0;
+  std::uint64_t ifaults = 0;
   for (;;) {
     try {
       run_attempt(attempt);
       wave_ok = true;
       break;
-    } catch (const IntegrityFault&) {
+    } catch (const TransientFault& e) {
       ++transients;
-      ++ifaults;
-      last_integrity = true;
-      if (attempt >= cfg_.max_wave_retries) break;
-      ++attempt;
-      ++retries;
-      if (cfg_.retry_backoff_us > 0 &&
-          !stop_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(cfg_.retry_backoff_us * attempt));
-      }
-    } catch (const TransientFault&) {
-      ++transients;
-      last_integrity = false;
+      last_integrity = dynamic_cast<const IntegrityFault*>(&e) != nullptr;
+      if (last_integrity) ++ifaults;
       if (attempt >= cfg_.max_wave_retries) break;
       ++attempt;
       ++retries;
@@ -604,69 +397,53 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   for (std::size_t i = 0; i < wn; ++i) {
     ServeRequest* req = wave_[i];
     enqueue_snap_[i] = req->enqueue_ns;
-    if (wave_ok && seal_outputs) {
-      req->result_seal = Seal{out_crc_[i], out_bytes_[i]};
-    }
+    if (wave_ok) req->result_seal = integrity_.output_seal(i);
     req->complete_ns = t_done;
     req->state.store(final_state, std::memory_order_release);
     req->state.notify_all();
   }
 
-  const auto flush_integrity = [&](ServerStats& s) {
-    s.integrity_checks += checks;
-    s.integrity_mismatches += mismatches;
-    s.integrity_faults += ifaults;
-    s.data_faults_injected += injected;
-    s.crc_sealed_bytes += sealed_bytes;
-    if (integ.crc_bytes_per_cycle > 0) {
-      s.crc_cycles += static_cast<double>(sealed_bytes) /
-                      integ.crc_bytes_per_cycle;
-    }
-    if (ran_shadow) ++s.redundant_waves;
-  };
-
+  // A failed wave is not SLO evidence: it skips the controller and the
+  // latency histograms so fault noise never reshapes healthy waves or the
+  // p99.
+  const int flip =
+      wave_ok ? update_controller(wn, target, fire_reason, backlog) : 0;
+  const IntegrityCounters& ic = integrity_.counters();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.waves;
+  stats_.wave_retries += retries;
+  stats_.transient_faults += transients;
+  stats_.integrity_checks += ic.checks;
+  stats_.integrity_mismatches += ic.mismatches;
+  stats_.integrity_faults += ifaults;
+  stats_.data_faults_injected += ic.injected;
+  stats_.crc_sealed_bytes += ic.sealed_bytes;
+  if (cfg_.integrity.crc_bytes_per_cycle > 0) {
+    stats_.crc_cycles += static_cast<double>(ic.sealed_bytes) /
+                         cfg_.integrity.crc_bytes_per_cycle;
+  }
+  if (ic.ran_shadow) ++stats_.redundant_waves;
   if (!wave_ok) {
-    // A failed wave is not SLO evidence: skip the controller and the latency
-    // histograms so fault noise never reshapes healthy waves or the p99.
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.waves;
     ++stats_.wave_errors;
-    if (last_integrity) {
-      stats_.corrupted += wn;
-    } else {
-      stats_.errored += wn;
-    }
-    stats_.wave_retries += retries;
-    stats_.transient_faults += transients;
-    flush_integrity(stats_);
+    (last_integrity ? stats_.corrupted : stats_.errored) += wn;
     return;
   }
-
-  const int flip = update_controller(wn, target, fire_reason, backlog);
-
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.waves;
-    if (fire_reason == kFullWave) ++stats_.full_waves;
-    if (fire_reason == kDeadline) ++stats_.deadline_waves;
-    if (fire_reason == kDrain) ++stats_.drain_waves;
-    if (flip > 0) ++stats_.wave_grows;
-    if (flip < 0) ++stats_.wave_shrinks;
-    stats_.completed += wn;
-    stats_.wave_retries += retries;
-    stats_.transient_faults += transients;
-    flush_integrity(stats_);
-    stats_.wave_lanes.add(static_cast<double>(wn));
-    stats_.wave_occupancy.add(static_cast<double>(wn) /
-                              static_cast<double>(max_lanes_));
-    stats_.queue_depth.add(static_cast<double>(backlog));
-    stats_.target_trace.add(static_cast<double>(target));
-    for (std::size_t i = 0; i < wn; ++i) {
-      stats_.latency_us.add(static_cast<double>(t_done - enqueue_snap_[i]) *
-                            1e-3);
-      stats_.queue_us.add(static_cast<double>(t_dispatch - enqueue_snap_[i]) *
+  if (fire_reason == kFullWave) ++stats_.full_waves;
+  if (fire_reason == kDeadline) ++stats_.deadline_waves;
+  if (fire_reason == kDrain) ++stats_.drain_waves;
+  if (flip > 0) ++stats_.wave_grows;
+  if (flip < 0) ++stats_.wave_shrinks;
+  stats_.completed += wn;
+  stats_.wave_lanes.add(static_cast<double>(wn));
+  stats_.wave_occupancy.add(static_cast<double>(wn) /
+                            static_cast<double>(max_lanes_));
+  stats_.queue_depth.add(static_cast<double>(backlog));
+  stats_.target_trace.add(static_cast<double>(target));
+  for (std::size_t i = 0; i < wn; ++i) {
+    stats_.latency_us.add(static_cast<double>(t_done - enqueue_snap_[i]) *
                           1e-3);
-    }
+    stats_.queue_us.add(static_cast<double>(t_dispatch - enqueue_snap_[i]) *
+                        1e-3);
   }
 }
 

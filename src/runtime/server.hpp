@@ -7,9 +7,9 @@
 //                                                (deadline- or size-triggered)
 //                                                            │
 //                                          segment-major lockstep wave
-//                                      (InferenceEngine::run_layer_batch on
-//                                       the persistent WorkerPool — the same
-//                                       path BatchRunner drives offline)
+//                                      (InferenceEngine::run_wave on the
+//                                       persistent WorkerPool — the same
+//                                       loop BatchRunner drives offline)
 //
 // Admission is a bounded lock-free MPSC ring (Vyukov sequence-numbered
 // cells): any number of client threads try_push a ServeRequest* with a CAS
@@ -24,15 +24,12 @@
 // nudge it awake only when they observed it sleeping), so an idle server
 // burns no CPU — same contract the WorkerPool's idle workers honor.
 //
-// Waves execute exactly like an offline BatchRunner lockstep wave: one
-// NetworkState lane per in-flight request, all lanes stepping through the
-// network layer by layer via InferenceEngine::run_layer_batch, segmented FC
-// layers streaming each fan-in weight band once per wave. Served outputs
-// (spikes AND modeled cycles) are therefore bit-identical to BatchRunner on
-// the same inputs whatever wave boundaries the arrival timing produced — the
-// segment-major charges are per-sample batch means, independent of lane
-// assignment (tests/test_server.cpp pins this). The lanes, wave buffers and
-// per-request result vectors are all pre-sized at construction or on first
+// Served outputs (spikes AND modeled cycles) are bit-identical to
+// BatchRunner on the same inputs whatever wave boundaries the arrival timing
+// produced — the segment-major charges are per-sample batch means,
+// independent of lane assignment (tests/test_server.cpp pins this). The
+// lanes persist for the server's lifetime, and they, the wave buffers and
+// the per-request result vectors are pre-sized at construction or on first
 // use, so the admission -> dispatch -> complete hot path is allocation-free
 // at steady state (tests/test_scratch_reuse.cpp counts it).
 //
@@ -67,22 +64,14 @@
 // CI guards the degradation curve in BENCH_fault.json).
 //
 // Data-integrity path (runtime/integrity.hpp, off by default): with
-// ServerConfig::integrity armed, CRC32C seals guard the dataflow — input
-// images sealed at submit() and verified at wave formation, spike carries
-// sealed at every layer handoff and verified before the consumer integrates
-// them, per-layer weight slices sealed at construction and verified per wave
-// attempt, the final output's chained seal published on the request. A seal
-// mismatch throws IntegrityFault (a TransientFault), so the bounded-retry
-// containment above re-runs the wave; FaultPlan data events (weight / spike /
-// membrane flips) are undone or regenerated between attempts, so the retried
-// wave completes bit-identical to an unfaulted one. Requests whose mismatch
-// persists through every retry end in kCorrupted. Redundant-lane mode
-// (IntegrityConfig::redundant_lanes or ServeRequest::redundant) executes the
-// wave twice — injections land only in the primary pass, modeling disjoint
-// clusters — and compares the two passes' output seals, the only defense
-// covering live membrane state (bench/integrity_profile.cpp sweeps flip rate
-// x protection mode into BENCH_integrity.json; CI guards detection coverage
-// and overhead with --integrity).
+// ServerConfig::integrity armed, CRC32C seals guard the dataflow from
+// admission to the published ServeRequest::result_seal, and redundant-lane
+// mode (IntegrityConfig::redundant_lanes or ServeRequest::redundant) runs the
+// wave twice and compares the passes — the only defense covering membrane
+// state. A mismatch throws IntegrityFault (a TransientFault), so the retry
+// containment above re-runs the wave; requests whose mismatch persists
+// through every retry end in kCorrupted (bench/integrity_profile.cpp sweeps
+// flip rate x protection mode into BENCH_integrity.json).
 #pragma once
 
 #include <atomic>
@@ -389,10 +378,9 @@ class InferenceServer {
   /// Publish kTimedOut on an expired request (dispatcher thread only).
   void shed_expired(ServeRequest* req, std::uint64_t now);
   /// Apply every structural fault event whose wave index has arrived and
-  /// collect this wave's data-corruption events into wave_data_faults_;
-  /// returns how many transient failures the coming wave must survive.
-  int apply_fault_events();
-  /// Lazily size the shadow-pass buffers for redundant-lane execution.
+  /// hand this wave's transient and data-corruption events to integrity_.
+  void apply_fault_events();
+  /// Lazily build the shadow lanes for redundant-lane execution.
   void ensure_shadow();
   /// Hysteresis-gated wave-size update; see the header comment. Returns
   /// +1 / -1 / 0 for grow / shrink / hold (stats are recorded by the caller).
@@ -428,20 +416,13 @@ class InferenceServer {
   std::vector<InferenceResult> steps_;
   std::vector<InferenceEngine::BatchLane> lanes_;
 
-  // Data-integrity state (dispatcher-owned). weight_seals_ is computed once
-  // at construction when checksum_weights is armed; out_crc_/out_bytes_
-  // chain each lane's per-timestep completion seal; the shadow buffers back
-  // redundant-lane execution and are allocated lazily on the first
-  // redundant wave (only servers that use the mode pay its state memory).
-  std::vector<Seal> weight_seals_;
-  std::vector<FaultEvent> wave_data_faults_;  ///< this wave's data events
-  std::vector<std::uint32_t> out_crc_;
-  std::vector<std::uint64_t> out_bytes_;
+  // Data-integrity state (dispatcher-owned). The shadow lanes back
+  // redundant-lane execution and are built lazily on the first redundant
+  // wave (only servers that use the mode pay its state memory).
+  WaveIntegrity integrity_;
   std::vector<snn::NetworkState> shadow_states_;
   std::vector<InferenceResult> shadow_steps_;
   std::vector<InferenceEngine::BatchLane> shadow_lanes_;
-  std::vector<std::uint32_t> shadow_crc_;
-  std::vector<std::uint64_t> shadow_bytes_;
 
   // Controller streaks (dispatcher-owned).
   int grow_streak_ = 0;

@@ -340,3 +340,39 @@ TEST(Pipeline, BatchReuseColdStartVsSteadyStateSavings) {
   // And steady state is stable from then on.
   EXPECT_NEAR(batch_saved(runner.run_single_step(images)), steady, 1e-6);
 }
+
+TEST(Pipeline, LockstepLaneLifetimeUnderWeightReuse) {
+  // A lane's weight residency (KernelScratch::weights_warm) survives the
+  // NetworkState clear between waves, so under batch_weight_reuse the lane
+  // lifetime is part of the modeled DMA. BatchRunner builds fresh lanes per
+  // call: back-to-back calls report the same cycles. The pipelined runner
+  // keeps its lanes warm across calls: the second call saves more than the
+  // first, and every later call exactly as much as the second. 5 samples on
+  // 3 lanes run two waves per call.
+  const snn::Network net = test_net();
+  const auto images = snn::make_batch(5, 77, 16, 16, 3);
+  k::RunOptions opt;
+  opt.batch_weight_reuse = true;
+  opt.segment_major_lanes = 3;
+  const auto saved = [](const std::vector<rt::InferenceResult>& res) {
+    double bytes = 0;
+    for (const auto& r : res) {
+      for (const auto& m : r.layers) bytes += m.stats.dma_saved_bytes;
+    }
+    return bytes;
+  };
+
+  const rt::BatchRunner batch(net, opt);
+  const auto first = batch.run(images, 2);
+  const auto second = batch.run(images, 2);
+  expect_equal_runs(first, second, "back-to-back BatchRunner::run");
+  const double batch_saved = saved(batch.run_single_step(images));
+  EXPECT_GT(batch_saved, 0.0) << "weight reuse must be active";
+  EXPECT_EQ(saved(batch.run_single_step(images)), batch_saved);
+
+  const rt::PipelinedBatchRunner pipe(net, opt, {}, {}, /*depth=*/3);
+  const double cold = saved(pipe.run_single_step(images));
+  const double warm = saved(pipe.run_single_step(images));
+  EXPECT_GT(warm, cold) << "warm lanes must carry over between calls";
+  EXPECT_EQ(saved(pipe.run_single_step(images)), warm);
+}
