@@ -289,8 +289,9 @@ class RowGather {
   std::size_t row_bytes() const { return row_bytes_; }
 
  private:
-  /// A multiple of add_rows' four-row sweep, so only a receptive field's
-  /// last chunk has a remainder.
+  /// A multiple of add_rows' four-row sweep, so only the last chunk of a
+  /// gathered list (one kernel row of a conv position, one FC band) has a
+  /// remainder.
   static constexpr std::size_t kChunk = 128;
   const bool half_;
   const int out_c_;
@@ -332,21 +333,25 @@ std::size_t conv_functional_rows(const snn::LayerSpec& spec,
             0.0f);
   const std::size_t in_c = static_cast<std::size_t>(weights.in_c);
   RowGather rows(weights, spec.out_c);
-  for (int oy = oy0; oy < oy1; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      // This receptive field's weight rows, in the same (kh, kw, ci) order
-      // the reference walks them.
-      rows.begin(&currents.at(oy, ox, 0));
-      for (int kh = 0; kh < k; ++kh) {
+  // Kernel-row-major: pass kh sweeps every position of the tile but reads
+  // only kernel row kh's slab of k * in_c weight rows, which stays in cache
+  // across the tile instead of the whole layer tensor streaming through it
+  // once per position. Each pass continues every element's add chain where
+  // the previous one left it, so the rows still arrive in the (kh, kw, ci)
+  // order the reference walks them.
+  for (int kh = 0; kh < k; ++kh) {
+    const std::size_t slab = static_cast<std::size_t>(kh) * k * in_c;
+    for (int oy = oy0; oy < oy1; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        rows.begin(&currents.at(oy, ox, 0));
         for (int kw = 0; kw < k; ++kw) {
-          const std::size_t base =
-              (static_cast<std::size_t>(kh) * k + kw) * in_c;
+          const std::size_t base = slab + static_cast<std::size_t>(kw) * in_c;
           for (std::uint16_t ci : ifmap.at(oy + kh, ox + kw)) {
             rows.add(base + ci);
           }
         }
+        rows.flush();
       }
-      rows.flush();
     }
   }
   return snn::lif_step_rows(spec.lif, currents, membrane,
@@ -429,8 +434,9 @@ void fc_functional_batch(const snn::LayerSpec& spec,
   static thread_local std::vector<std::size_t> cursors;
   cursors.assign(lanes.size(), 0);
   for (int c_lo = 0; c_lo < spec.in_c; c_lo += band_rows) {
-    const std::uint16_t c_hi = static_cast<std::uint16_t>(
-        std::min<int>(spec.in_c, c_lo + band_rows));
+    // int, not the CSR index type: at in_c == 65536 the last band's bound
+    // does not fit in 16 bits.
+    const int c_hi = std::min(spec.in_c, c_lo + band_rows);
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       const auto span = lanes[i].ifmap->at(0, 0);
       std::size_t& cur = cursors[i];

@@ -104,9 +104,11 @@ void encode_functional(const snn::LayerSpec& spec,
 // share one sample's layer: begin_row_tiles() shapes the output buffers once,
 // then each *_rows call accumulates and fires output rows [oy0, oy1) only.
 // Tiles write disjoint rows, and every output element is still produced by
-// one call adding its receptive-field rows in (kh, kw, ci) order, so any row
-// split is bit-identical to the whole-layer pass. The calls return the
-// tile's spike count; the caller sums them into scratch.run.out_nnz.
+// one call adding its receptive-field rows in (kh, kw, ci) order — the conv
+// call sweeps its tile once per kernel row kh, each sweep continuing every
+// element's add chain — so any row split is bit-identical to the
+// whole-layer pass. The calls return the tile's spike count; the caller sums
+// them into scratch.run.out_nnz.
 
 /// Shape `scratch.currents` / `scratch.run.out_spikes` for the layer's output
 /// (checks that `membrane` has that shape).

@@ -312,18 +312,6 @@ LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec,
   return plan;
 }
 
-ShardPlan Partitioner::plan_network(const snn::Network& net,
-                                    double density) const {
-  ShardPlan plan;
-  plan.strategy = strategy_;
-  plan.clusters = clusters_;
-  plan.layers.reserve(net.num_layers());
-  for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    plan.layers.push_back(plan_layer(net.layer(l), density));
-  }
-  return plan;
-}
-
 // ---------------------------------------------------------------------------
 // Stage-parallel pipeline planning
 // ---------------------------------------------------------------------------

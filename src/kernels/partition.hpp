@@ -21,7 +21,7 @@
 //    model with an assumed planning density (occupancies are unknown at plan
 //    time; plans are computed once per network at engine construction).
 //
-// A ShardPlan is immutable once computed; backends key it by layer signature
+// A LayerPlan is immutable once computed; backends key it by layer signature
 // and size their per-shard scratch lanes from it so steady-state shard
 // fan-out allocates nothing.
 #pragma once
@@ -67,12 +67,6 @@ struct LayerPlan {
   double est_cycles = 0;
   double est_alt_cycles = 0;
   std::size_t n() const { return shards.size(); }
-};
-
-struct ShardPlan {
-  PartitionStrategy strategy = PartitionStrategy::kOutputChannel;
-  int clusters = 1;
-  std::vector<LayerPlan> layers;  ///< one per network layer
 };
 
 /// Occupancy-adaptive re-planning (ShardedBackend): partition plans are
@@ -202,8 +196,6 @@ class Partitioner {
   /// the fixed strategies ignore it).
   LayerPlan plan_layer(const snn::LayerSpec& spec,
                        double density = kDefaultDensity) const;
-  ShardPlan plan_network(const snn::Network& net,
-                         double density = kDefaultDensity) const;
 
   /// Build the plan for a specific shard axis (occupancy-adaptive
   /// re-planning swaps axes explicitly instead of re-ranking through a

@@ -203,9 +203,10 @@ class ExecutionBackend {
   virtual int num_clusters() const { return 1; }
 
   /// Called once per engine construction with the quantized network: lets a
-  /// backend precompute per-layer state (the sharded backend builds its
-  /// ShardPlan here, so partition choices are made once per network, not per
-  /// run). Must be idempotent and thread-safe; the default does nothing.
+  /// backend precompute per-layer state (the sharded backend plans every
+  /// layer's shards here, so partition choices are made once per network,
+  /// not per run). Must be idempotent and thread-safe; the default does
+  /// nothing.
   virtual void prepare(const snn::Network& net) const { (void)net; }
 
   /// Pre-size the per-layer scratch arenas of a freshly built NetworkState

@@ -27,33 +27,6 @@ BatchRunner::BatchRunner(const snn::Network& net,
 
 BatchRunner::~BatchRunner() = default;
 
-void BatchRunner::for_samples(
-    std::size_t n,
-    common::FunctionRef<void(std::size_t, std::size_t)> fn) const {
-  const std::size_t slots =
-      std::min<std::size_t>(static_cast<std::size_t>(workers_), n);
-  if (slots <= 1 || pool_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
-    return;
-  }
-  pool_->parallel_for(n, slots, fn);
-}
-
-// Each worker slot keeps one NetworkState for the whole batch: membranes are
-// cleared between samples (run_steps / run_event_stream do that) while the
-// scratch arenas inside stay warm, so every sample after the first runs
-// allocation-free.
-
-std::vector<snn::NetworkState> BatchRunner::worker_states(
-    std::size_t n_samples) const {
-  // Must match for_samples(): slot indices run in [0, min(workers_, n)).
-  std::vector<snn::NetworkState> states(
-      std::min<std::size_t>(static_cast<std::size_t>(workers_),
-                            std::max<std::size_t>(n_samples, 1)));
-  for (auto& s : states) s = engine_.make_state();
-  return states;
-}
-
 void BatchRunner::run_steps(const std::vector<snn::Tensor>& images,
                             int timesteps, KeepStep keep) const {
   const std::size_t n = images.size();
@@ -74,15 +47,27 @@ void BatchRunner::run_steps(const std::vector<snn::Tensor>& images,
     run_lockstep_batch(engine_, wave, images, timesteps, pool_.get(), keep);
     return;
   }
-  std::vector<snn::NetworkState> states = worker_states(n);
-  std::vector<InferenceResult> steps(states.size());
-  for_samples(n, [&](std::size_t worker, std::size_t i) {
-    states[worker].clear();
+  // Sample fan-out: samples are claimed off the pool by at most `workers_`
+  // slots, and each slot keeps one NetworkState for the whole batch.
+  // Membranes are cleared between samples while the scratch arenas inside
+  // stay warm, so every sample after the first runs allocation-free.
+  const std::size_t slots =
+      std::min<std::size_t>(static_cast<std::size_t>(workers_), n);
+  std::vector<snn::NetworkState> states(slots);
+  for (auto& s : states) s = engine_.make_state();
+  std::vector<InferenceResult> steps(slots);
+  auto run_sample = [&](std::size_t slot, std::size_t i) {
+    states[slot].clear();
     for (int t = 0; t < timesteps; ++t) {
-      engine_.run(images[i], states[worker], steps[worker]);
-      keep(i, steps[worker]);
+      engine_.run(images[i], states[slot], steps[slot]);
+      keep(i, steps[slot]);
     }
-  });
+  };
+  if (slots <= 1 || pool_ == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) run_sample(0, i);
+  } else {
+    pool_->parallel_for(n, slots, run_sample);
+  }
 }
 
 std::vector<MultiStepResult> BatchRunner::run(
@@ -100,16 +85,6 @@ std::vector<InferenceResult> BatchRunner::run_single_step(
   std::vector<InferenceResult> results(images.size());
   run_steps(images, 1, [&](std::size_t i, const InferenceResult& s) {
     results[i] = s;
-  });
-  return results;
-}
-
-std::vector<MultiStepResult> BatchRunner::run_events(
-    const std::vector<std::vector<snn::SpikeMap>>& streams) const {
-  std::vector<MultiStepResult> results(streams.size());
-  std::vector<snn::NetworkState> states = worker_states(streams.size());
-  for_samples(streams.size(), [&](std::size_t worker, std::size_t i) {
-    results[i] = run_event_stream(engine_, states[worker], streams[i]);
   });
   return results;
 }

@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/function_ref.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/multistep.hpp"
 
@@ -48,13 +47,6 @@ class BatchRunner {
   std::vector<MultiStepResult> run(const std::vector<snn::Tensor>& images,
                                    int timesteps = 1) const;
 
-  /// Event-driven variant: one pre-padded frame sequence per sample. Always
-  /// uses per-sample fan-out (streams may have unequal lengths, which rules
-  /// out lockstep waves); modeled stats are unaffected — the segment-major
-  /// accounting is schedule-independent.
-  std::vector<MultiStepResult> run_events(
-      const std::vector<std::vector<snn::SpikeMap>>& streams) const;
-
   /// Single-timestep variant keeping the full per-layer metrics per sample.
   std::vector<InferenceResult> run_single_step(
       const std::vector<snn::Tensor>& images) const;
@@ -63,17 +55,6 @@ class BatchRunner {
   int workers() const { return workers_; }
 
  private:
-  /// Claim samples [0, n) from the worker pool across at most `workers_`
-  /// slots. `fn(slot, i)` runs sample i on slot `slot`, so callers can keep
-  /// one reusable NetworkState per slot instead of one per sample.
-  void for_samples(std::size_t n,
-                   common::FunctionRef<void(std::size_t, std::size_t)> fn)
-      const;
-
-  /// One reusable NetworkState per worker slot that for_samples() will
-  /// engage for `n_samples` samples (sized with the same slot formula).
-  std::vector<snn::NetworkState> worker_states(std::size_t n_samples) const;
-
   /// `timesteps` steps of every image, each finished step handed to `keep`:
   /// sample fan-out, or lockstep waves on lanes built fresh for this call.
   void run_steps(const std::vector<snn::Tensor>& images, int timesteps,

@@ -2,6 +2,8 @@
 // (bit-exact spikes) and the timing properties the paper reports.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "compress/csr_ifmap.hpp"
 #include "kernels/layer_kernels.hpp"
@@ -173,6 +175,46 @@ TEST(FcKernel, MatchesReference) {
     snn::Tensor mem(1, 1, 32);
     const auto run = k::run_fc_layer(spec, w, csr, mem, opt);
     EXPECT_EQ(run.out_spikes.v, expect.v) << k::variant_name(variant);
+  }
+}
+
+TEST(FcKernel, BatchMatchesPerLaneAtWidestFanIn) {
+  // 65536 inputs is the widest fan-in the 16-bit CSR channel index admits
+  // (a flattened 16x16x256 map). The segment-major sweep's last band then
+  // ends one past the index range; its spikes must still reach every lane.
+  snn::LayerSpec spec;
+  spec.kind = snn::LayerKind::kFc;
+  spec.name = "fc_wide";
+  spec.in_c = 65536;
+  spec.out_c = 16;
+  spec.lif.v_th = 0.4f;
+  spec.lif.v_rst = 0.4f;
+  const auto w = make_weights(spec, 21);
+  const std::vector<std::vector<int>> fired = {{3, 65100, 65535},
+                                               {40000, 65530}};
+  std::vector<spikestream::compress::CsrIfmap> csr;
+  for (const auto& channels : fired) {
+    snn::SpikeMap in(1, 1, spec.in_c);
+    for (int c : channels) in.v[static_cast<std::size_t>(c)] = 1;
+    csr.push_back(spikestream::compress::CsrIfmap::encode(in));
+  }
+
+  std::vector<k::LayerScratch> scratch(fired.size());
+  std::vector<snn::Tensor> mem(fired.size(), snn::Tensor(1, 1, spec.out_c));
+  std::vector<k::LayerLane> lanes(fired.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    lanes[i] = {&csr[i], &mem[i], &scratch[i]};
+  }
+  k::fc_functional_batch(spec, w, lanes);
+
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    k::KernelScratch serial;
+    snn::Tensor serial_mem(1, 1, spec.out_c);
+    k::fc_functional(spec, w, csr[i], serial_mem, serial);
+    EXPECT_EQ(scratch[i].main.currents.v, serial.currents.v) << "lane " << i;
+    EXPECT_EQ(mem[i].v, serial_mem.v) << "lane " << i;
+    EXPECT_EQ(scratch[i].main.run.out_spikes.v, serial.run.out_spikes.v)
+        << "lane " << i;
   }
 }
 

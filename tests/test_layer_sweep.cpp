@@ -4,7 +4,10 @@
 // math" — the invariant everything else in the repo rests on.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "compress/csr_ifmap.hpp"
@@ -47,15 +50,23 @@ snn::LayerWeights random_weights(int kk, int in_c, int out_c,
   return w;
 }
 
+/// Bit-for-bit equality of two float planes (== would equate -0 and +0).
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 }  // namespace
 
+/// `half` additionally packs the weights as binary16 (LayerWeights::half),
+/// the rows FP16 layers stream on hosts with AVX-512 + F16C.
 using SweepParam = std::tuple<int /*in_c*/, int /*out_c*/, double /*rate*/,
-                              sc::FpFormat, k::Variant>;
+                              sc::FpFormat, k::Variant, bool /*half*/>;
 
 class ConvSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(ConvSweep, KernelEqualsReference) {
-  const auto [in_c, out_c, rate, fmt, variant] = GetParam();
+  const auto [in_c, out_c, rate, fmt, variant, half] = GetParam();
   snn::LayerSpec spec;
   spec.kind = snn::LayerKind::kConv;
   spec.name = "sweep";
@@ -65,14 +76,18 @@ TEST_P(ConvSweep, KernelEqualsReference) {
   spec.out_c = out_c;
   spec.lif.v_th = 0.5f;
   spec.lif.v_rst = 0.5f;
-  const auto w = random_weights(3, in_c, out_c, 1234, fmt);
+  auto w = random_weights(3, in_c, out_c, 1234, fmt);
+  if (half) {
+    w.build_half();
+    ASSERT_TRUE(w.half_exact);
+  }
   const auto in = bernoulli_map(11, 11, in_c,
                                 rate, 99 + static_cast<std::uint64_t>(in_c));
   const auto csr = cp::CsrIfmap::encode(in);
 
+  const snn::Tensor ref_currents = snn::Reference::conv_currents(in, w);
   snn::Tensor ref_mem(spec.out_h(), spec.out_w(), out_c);
-  const snn::SpikeMap expect =
-      snn::lif_step(spec.lif, snn::Reference::conv_currents(in, w), ref_mem);
+  const snn::SpikeMap expect = snn::lif_step(spec.lif, ref_currents, ref_mem);
 
   k::RunOptions opt;
   opt.variant = variant;
@@ -84,6 +99,20 @@ TEST_P(ConvSweep, KernelEqualsReference) {
   if (snn::spike_count(in) > 0) {
     EXPECT_GT(run.stats.fpu_ops, 0.0);
   }
+
+  // The same layer as three unequal output-row tiles, run out of order.
+  k::KernelScratch tiles;
+  snn::Tensor tile_mem(spec.out_h(), spec.out_w(), out_c);
+  k::begin_row_tiles(spec, tile_mem, tiles);
+  const std::pair<int, int> blocks[] = {{6, 9}, {0, 2}, {2, 6}};
+  std::size_t fired = 0;
+  for (const auto& [oy0, oy1] : blocks) {
+    fired += k::conv_functional_rows(spec, w, csr, tile_mem, tiles, oy0, oy1);
+  }
+  EXPECT_TRUE(same_bits(tiles.currents.v, ref_currents.v));
+  EXPECT_TRUE(same_bits(tile_mem.v, ref_mem.v));
+  EXPECT_EQ(tiles.run.out_spikes.v, expect.v);
+  EXPECT_EQ(fired, snn::spike_count(expect));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -94,7 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(sc::FpFormat::FP16),
                        ::testing::Values(k::Variant::kBaseline,
                                          k::Variant::kSpikeStream,
-                                         k::Variant::kDenseNoTc)));
+                                         k::Variant::kDenseNoTc),
+                       ::testing::Values(false)));
 
 INSTANTIATE_TEST_SUITE_P(
     Formats, ConvSweep,
@@ -105,7 +135,19 @@ INSTANTIATE_TEST_SUITE_P(
                                          sc::FpFormat::FP16, sc::FpFormat::FP8),
                        ::testing::Values(k::Variant::kBaseline,
                                          k::Variant::kSpikeStream,
-                                         k::Variant::kDenseNoTc)));
+                                         k::Variant::kDenseNoTc),
+                       ::testing::Values(false)));
+
+// Binary16 weight rows: output widths that are whole 16-lane vectors, so
+// the half-row path runs wherever the host supports it.
+INSTANTIATE_TEST_SUITE_P(
+    HalfRows, ConvSweep,
+    ::testing::Combine(::testing::Values(8, 24, 64),
+                       ::testing::Values(16, 48),
+                       ::testing::Values(0.05, 0.3, 0.9),
+                       ::testing::Values(sc::FpFormat::FP16),
+                       ::testing::Values(k::Variant::kSpikeStream),
+                       ::testing::Values(true)));
 
 using FcParam = std::tuple<int /*in_c*/, int /*out_c*/, double /*rate*/,
                            k::Variant>;
