@@ -361,8 +361,8 @@ int main() {
   }
 
   // --- stage-parallel cluster pipeline on the deep tower --------------------
-  // The modeled counterpart of the host-side pipelined executor: contiguous
-  // layer ranges on disjoint cluster groups, coupled by finite spike FIFOs.
+  // Contiguous layer ranges on disjoint cluster groups, coupled by finite
+  // spike FIFOs.
   // Per stage: busy window split into service / FIFO stall / idle, peak
   // FIFO occupancy and the boundary payload (all modeled cycles, not host
   // time). S-VGG11 keeps choosing data-parallel on the same cost query, so

@@ -60,8 +60,6 @@ struct BackendProfile {
   /// depth-1 pipeline).
   double dma_saved_mb_cold = 0;
   double dma_saved_mb_steady = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   /// Which workload this row ran (svgg11 or widefc).
   std::string network = "svgg11";
   /// Banked-DRAM row-buffer outcomes, whole network (0 in flat-legacy mode).
@@ -76,7 +74,8 @@ struct BackendProfile {
 };
 
 /// Shared profiling body over any runner with run_single_step() + engine():
-/// BatchRunner (sample fan-out) and PipelinedBatchRunner (stage overlap).
+/// BatchRunner (sample fan-out, or fresh lockstep waves under segment-major)
+/// and PipelinedBatchRunner (lockstep waves of `depth` warm lanes).
 template <typename Runner>
 BackendProfile profile_runner(const std::string& label, const Runner& runner,
                               const std::vector<snn::Tensor>& images,
@@ -130,7 +129,7 @@ BackendProfile profile_runner(const std::string& label, const Runner& runner,
   // Steady-state allocations: one engine, one state, one reused result —
   // this measures the shared per-layer hot path (backend + kernels +
   // scratch arenas), which is identical for every runner wrapping the same
-  // engine. Runner-level orchestration (batch fan-out, pipeline ticks) is
+  // engine. Runner-level orchestration (batch fan-out, wave lanes) is
   // excluded here because the by-value result marshalling both runners
   // return would drown the signal; its steady-state behavior is pinned by
   // tests/test_scratch_reuse.cpp instead.
@@ -148,12 +147,6 @@ BackendProfile profile_runner(const std::string& label, const Runner& runner,
     prof.steady_allocs_per_layer =
         static_cast<double>(after - before) /
         (static_cast<double>(alloc_runs) * static_cast<double>(layers));
-  }
-
-  if (const auto* a = dynamic_cast<const rt::AnalyticalBackend*>(
-          &runner.engine().backend())) {
-    prof.cache_hits = a->cost_cache_hits();
-    prof.cache_misses = a->cost_cache_misses();
   }
   return prof;
 }
@@ -200,12 +193,6 @@ int main() {
   }
   {
     rt::BackendConfig cfg;
-    cfg.memoize_cost = true;
-    profiles.push_back(
-        profile_backend("analytical+memo", net, opt, cfg, images, reps));
-  }
-  {
-    rt::BackendConfig cfg;
     cfg.kind = rt::BackendKind::kCycleAccurate;
     profiles.push_back(
         profile_backend("cycle-accurate", net, opt, cfg, images, reps));
@@ -218,8 +205,8 @@ int main() {
         profile_backend("sharded-4", net, opt, cfg, images, reps));
   }
   {
-    // Stage-overlapped pipeline: layer L of sample i concurrent with layer
-    // L+1 of sample i-1, depth-4 lane rotation.
+    // Warm-lane pipelined runner: lockstep waves of 4 lanes, sample i on
+    // lane i mod 4, lanes kept across calls.
     rt::BackendConfig cfg;
     profiles.push_back(profile_pipelined("analytical+pipelined", net, opt,
                                          cfg, /*depth=*/4, images, reps));
@@ -311,17 +298,16 @@ int main() {
               "%u hw threads\n",
               batch, wide_batch, reps,
               std::max(1u, std::thread::hardware_concurrency()));
-  std::printf("%-26s %11s %11s %13s %11s %11s %11s %8s %8s %10s\n", "backend",
+  std::printf("%-26s %11s %11s %13s %11s %11s %11s %8s %8s\n", "backend",
               "samples/s", "ns/layer", "allocs/layer", "dma MB/s.",
-              "saved stdy", "Mcyc/s.", "rowhit", "hidden", "memo h/m");
+              "saved stdy", "Mcyc/s.", "rowhit", "hidden");
   for (const auto& p : profiles) {
     std::printf(
-        "%-26s %11.1f %11.0f %13.3f %11.3f %11.3f %11.3f %8.3f %8.3f "
-        "%6zu/%zu\n",
+        "%-26s %11.1f %11.0f %13.3f %11.3f %11.3f %11.3f %8.3f %8.3f\n",
         p.name.c_str(), p.samples_per_sec, p.ns_per_layer,
         p.steady_allocs_per_layer, p.dma_mb_per_sample, p.dma_saved_mb_steady,
         p.modeled_mcycles_per_sample, p.row_hit_rate,
-        p.hidden_mcycles_per_sample, p.cache_hits, p.cache_misses);
+        p.hidden_mcycles_per_sample);
   }
 
   // BENCH_host.json: one flat record per backend, easy to diff across PRs.
@@ -370,8 +356,6 @@ int main() {
       w.field("modeled_mcycles_per_sample", p.modeled_mcycles_per_sample, 4);
       w.field("row_hit_rate", p.row_hit_rate, 4);
       w.field("hidden_mcycles_per_sample", p.hidden_mcycles_per_sample, 4);
-      w.field("cost_cache_hits", p.cache_hits);
-      w.field("cost_cache_misses", p.cache_misses);
       w.end_object();
     }
     w.end_array();

@@ -186,6 +186,18 @@ class HostCompare(Base):
         self.assertEqual(rc, 1, out)
         self.assertIn("required backend missing", out)
 
+    def test_row_dropped_from_current_is_reported_not_failed(self):
+        # A row the previous artifact has and the current one no longer
+        # writes (a deleted bench row) is listed, but only --require fails.
+        prev = host_file()
+        prev["backends"].append(dict(prev["backends"][0],
+                                     name="analytical+memo"))
+        p = self.write("prev.json", prev)
+        c = self.write("cur.json", host_file())
+        rc, out = self.run_script(p, c, "--require", "analytical")
+        self.assertEqual(rc, 0, out)
+        self.assertRegex(out, r"analytical\+memo\s+only in previous")
+
 
 class ServeGuards(Base):
     def both_hosts(self):

@@ -13,8 +13,9 @@
 // Each kernel is split into a *functional* pass (accumulate currents, run the
 // LIF step — the math that must match the golden reference bit-for-bit) and a
 // *timing* pass (the mechanistic cost model). Both write into a caller-owned
-// KernelScratch so steady-state execution allocates nothing; backends may run
-// the passes separately to memoize the timing (see runtime/backend.hpp).
+// KernelScratch so steady-state execution allocates nothing; backends run the
+// passes separately (row-tiled or band-major functional passes, then one
+// timing tail per lane; see runtime/backend.hpp).
 #pragma once
 
 #include <span>

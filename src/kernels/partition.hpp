@@ -101,7 +101,7 @@ struct ReplanConfig {
   double cold_density = 0.02;
 };
 
-/// FNV-1a over a layer's name + geometry: the key plan/memo caches use.
+/// FNV-1a over a layer's name + geometry: the key plan caches use.
 /// Layers with equal signatures partition (and cost) identically.
 std::uint64_t layer_signature(const snn::LayerSpec& spec);
 

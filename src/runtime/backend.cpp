@@ -1,8 +1,6 @@
 #include "runtime/backend.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -20,117 +18,6 @@ const char* backend_name(BackendKind k) {
     case BackendKind::kSharded: return "sharded";
   }
   return "?";
-}
-
-namespace {
-
-/// Logarithmic occupancy bucket (~12% granularity): spike counts within one
-/// bucket share a memoized timing result, which bounds the relative cycle
-/// deviation by the bucket width.
-long occupancy_bucket(std::size_t nnz) {
-  if (nnz == 0) return -1;
-  return static_cast<long>(
-      std::floor(std::log2(static_cast<double>(nnz)) * 6.0));
-}
-
-/// Occupancies within this fraction of a layer's running average share its
-/// bucket. Tighter than the ~12% bucket width, so snapping adds at most one
-/// bucket of extra deviation while removing the edge-jitter misses.
-constexpr double kEmaSnapBand = 0.10;
-constexpr double kEmaAlpha = 0.25;
-
-/// Memo table capacity (power of two). Sized for hundreds of distinct
-/// (layer, occupancy-bucket) keys — an order of magnitude above what the
-/// S-VGG11 batch workload produces — while keeping the pre-reserved slot
-/// arena small. Inserts beyond ~this many distinct keys are dropped.
-constexpr std::size_t kMemoCapacity = 2048;
-
-/// Pre-reserved per-core cycle capacity of each slot: covers any plausible
-/// `RunOptions::cores`, so storing a result never grows the slot's vector.
-constexpr std::size_t kMemoCoreReserve = 32;
-
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  x ^= x >> 33;
-  return x;
-}
-
-/// Key salt for runs whose weight tile is already SPM-resident (batch-level
-/// weight-tile reuse): warm and cold runs of the same occupancy bucket have
-/// different DMA timelines and must not share a memo entry.
-constexpr std::uint64_t kWarmWeightsSalt = 0x9e3779b97f4a7c15ull;
-
-}  // namespace
-
-CostMemo::CostMemo() : slots_(kMemoCapacity) {
-  for (Slot& s : slots_) {
-    s.value.stats.core_cycles.reserve(kMemoCoreReserve);
-  }
-}
-
-std::size_t CostMemo::probe_start(const Key& key) const {
-  const std::uint64_t h =
-      mix64(std::get<0>(key) ^
-            mix64(static_cast<std::uint64_t>(std::get<1>(key)) * 31 +
-                  static_cast<std::uint64_t>(std::get<2>(key))));
-  return static_cast<std::size_t>(h) & (kMemoCapacity - 1);
-}
-
-CostMemo::Slot* CostMemo::find_slot(const Key& key) const {
-  std::size_t i = probe_start(key);
-  for (std::size_t n = 0; n < kMemoCapacity; ++n) {
-    Slot& s = slots_[i];
-    if (!s.used || s.key == key) return &s;
-    i = (i + 1) & (kMemoCapacity - 1);
-  }
-  return nullptr;  // table full and key absent
-}
-
-long CostMemo::snapped_bucket(double& ema, std::size_t nnz) const {
-  const double x = static_cast<double>(nnz);
-  if (ema >= 0.0 && std::abs(x - ema) <= kEmaSnapBand * std::max(ema, 1.0)) {
-    const long b =
-        occupancy_bucket(static_cast<std::size_t>(std::llround(ema)));
-    ema += kEmaAlpha * (x - ema);
-    return b;
-  }
-  ema = x;  // jumped out of the band: restart the average here
-  return occupancy_bucket(nnz);
-}
-
-CostMemo::Key CostMemo::make_key(const snn::LayerSpec& spec,
-                                 std::size_t in_nnz, std::size_t out_nnz,
-                                 std::uint64_t salt) const {
-  const std::uint64_t sig = kernels::layer_signature(spec) ^ salt;
-  std::lock_guard<std::mutex> lock(mu_);
-  Ema& e = ema_[sig];
-  return {sig, snapped_bucket(e.in, in_nnz), snapped_bucket(e.out, out_nnz)};
-}
-
-bool CostMemo::lookup(const Key& key, kernels::LayerRun& run) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Slot* s = find_slot(key);
-  if (s == nullptr || !s->used) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  run.stats = s->value.stats;  // copy-assign reuses core_cycles capacity
-  run.plan = s->value.plan;
-  return true;
-}
-
-void CostMemo::insert(const Key& key, const kernels::LayerRun& run) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Slot* s = find_slot(key);
-  if (s == nullptr || s->used) return;  // full, or a racing writer won
-  s->key = key;
-  s->value.stats = run.stats;  // slot's core_cycles capacity is pre-reserved
-  s->value.plan = run.plan;
-  s->used = true;
 }
 
 void ExecutionBackend::run_batch(const snn::LayerSpec& spec,
@@ -173,14 +60,6 @@ void ExecutionBackend::presize_state(snn::NetworkState& state,
 
 namespace {
 
-/// Memo key salt for this run's weight-residency mode. A memo hit must also
-/// mark the scratch warm — the cached stats were computed under the same
-/// salt, so the skipped timing pass would have done exactly that.
-std::uint64_t warm_salt(const kernels::RunOptions& opt,
-                        const kernels::KernelScratch& ks) {
-  return opt.batch_weight_reuse && ks.weights_warm ? kWarmWeightsSalt : 0;
-}
-
 /// Smallest accumulate worth a row tile of its own, in weight-row element
 /// adds: a lane's layer is split only while every tile keeps at least this
 /// much work, so the pool handoff stays small next to it and tiny layers
@@ -221,42 +100,21 @@ std::size_t row_blocks(const snn::LayerSpec& spec,
 
 }  // namespace
 
-void AnalyticalBackend::memoized_timing(
-    const snn::LayerSpec& spec, std::size_t in_nnz, kernels::KernelScratch& ks,
-    common::FunctionRef<void()> timing) const {
-  if (!memo_) {
-    timing();
-    return;
-  }
-  const auto key =
-      memo_->make_key(spec, in_nnz, ks.run.out_nnz, warm_salt(opt_, ks));
-  if (memo_->lookup(key, ks.run)) {
-    ks.weights_warm = true;
-    return;
-  }
-  timing();
-  memo_->insert(key, ks.run);
-}
-
 void AnalyticalBackend::time_encode(const snn::LayerSpec& spec,
                                     kernels::KernelScratch& ks) const {
-  // The dense input has no occupancy; key on the output spikes only.
-  memoized_timing(spec, 0, ks,
-                  [&] { kernels::encode_timing(spec, opt_, ks); });
+  kernels::encode_timing(spec, opt_, ks);
 }
 
 void AnalyticalBackend::time_conv(const snn::LayerSpec& spec,
                                   const compress::CsrIfmap& ifmap,
                                   kernels::KernelScratch& ks) const {
-  memoized_timing(spec, ifmap.nnz(), ks,
-                  [&] { kernels::conv_timing(spec, ifmap, opt_, ks); });
+  kernels::conv_timing(spec, ifmap, opt_, ks);
 }
 
 void AnalyticalBackend::time_fc(const snn::LayerSpec& spec,
                                 const compress::CsrIfmap& ifmap,
                                 kernels::KernelScratch& ks) const {
-  memoized_timing(spec, ifmap.nnz(), ks,
-                  [&] { kernels::fc_timing(spec, ifmap, opt_, ks); });
+  kernels::fc_timing(spec, ifmap, opt_, ks);
 }
 
 const kernels::LayerRun& AnalyticalBackend::run_encode(
@@ -360,10 +218,9 @@ std::unique_ptr<ExecutionBackend> make_backend(
     std::shared_ptr<WorkerPool> pool) {
   switch (cfg.kind) {
     case BackendKind::kAnalytical:
-      return std::make_unique<AnalyticalBackend>(opt, cfg.memoize_cost);
+      return std::make_unique<AnalyticalBackend>(opt);
     case BackendKind::kCycleAccurate:
-      return std::make_unique<CycleAccurateBackend>(opt, cfg.iss_sample_spvas,
-                                                    cfg.memoize_cost);
+      return std::make_unique<CycleAccurateBackend>(opt, cfg.iss_sample_spvas);
     case BackendKind::kSharded:
       return std::make_unique<ShardedBackend>(
           opt, cfg.clusters, cfg.shard_threads, cfg.partition, cfg.noc,

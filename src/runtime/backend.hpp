@@ -15,28 +15,15 @@
 // immutable after construction and safe to share across threads — per-sample
 // state (membranes AND the scratch arenas every run borrows) lives in
 // snn::NetworkState; a kernels::LayerScratch is threaded through each call so
-// steady-state execution allocates nothing.
-//
-// Cost-model memoization: with BackendConfig::memoize_cost the analytical and
-// cycle-accurate backends cache the timing-pass output (KernelStats +
-// TilePlan) keyed by (layer signature, input-occupancy bucket,
-// output-occupancy bucket). Repeated timesteps / batch samples with similar
-// sparsity then skip the O(positions * k^2 + cores * tasks) schedule
-// simulation entirely; the functional pass always runs, so spikes stay
-// bit-identical. The default (memoize_cost = false) is the exact mode:
-// cycle counts are deterministic and independent of execution order.
+// steady-state execution allocates nothing. Every layer run times its own
+// spikes exactly, so modeled cycles are a pure function of the layer and its
+// input, independent of execution order.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <tuple>
 
 #include "arch/noc.hpp"
-#include "common/function_ref.hpp"
 #include "compress/csr_ifmap.hpp"
 #include "kernels/layer_kernels.hpp"
 #include "kernels/partition.hpp"
@@ -102,87 +89,6 @@ struct BackendConfig {
   /// CycleAccurateBackend: SpVAs per ISS calibration run (larger = tighter
   /// amortization of the microkernel prologue, slower calibration).
   int iss_sample_spvas = 32;
-  /// Analytical / cycle-accurate: memoize the timing pass by occupancy
-  /// bucket (see the header comment). false = exact mode.
-  bool memoize_cost = false;
-};
-
-/// Thread-safe memo of timing-pass outputs, keyed by layer signature plus
-/// logarithmic occupancy buckets (~12% granularity) of the input/output
-/// spike counts. Values are populated from the first exact computation of a
-/// key; subsequent lookups within the same bucket reuse them. The key does
-/// not capture the *spatial distribution* of spikes, only totals, so the
-/// deviation from exact mode is empirical rather than hard-bounded —
-/// tests/test_cost_cache.cpp pins it at <30% per layer and <15% end-to-end
-/// on representative workloads. Use exact mode when cycle counts must be
-/// input-faithful.
-///
-/// Storage is a fixed-capacity open-addressed table whose entries pre-
-/// reserve their per-core cycle vectors at construction, so *both* the hit
-/// path and the insert path are heap-allocation-free — a steady-state miss
-/// (a genuinely new occupancy bucket) fills a pre-sized slot instead of
-/// growing a node-based map (tests/test_scratch_reuse.cpp pins this with the
-/// operator-new hook). A full table stops accepting inserts; cached keys
-/// keep hitting.
-class CostMemo {
- public:
-  struct Value {
-    kernels::KernelStats stats;
-    kernels::TilePlan plan;
-  };
-
-  /// (salted layer signature, input bucket, output bucket).
-  using Key = std::tuple<std::uint64_t, long, long>;
-
-  CostMemo();
-
-  /// Build the memo key for one layer run. Stateful: the memo tracks a
-  /// per-layer exponential moving average of the input/output occupancies
-  /// and snaps counts within ±10% of the EMA onto the EMA's bucket, so
-  /// occupancies that jitter around a bucket edge (the dominant miss source
-  /// on small nets) stop alternating between two keys. The snap band is
-  /// tighter than the bucket width, so the worst-case deviation stays inside
-  /// the bound tests/test_cost_cache.cpp pins. `salt` splits the key space
-  /// for run modes whose timing differs at equal occupancy (batch-level
-  /// weight-tile reuse salts warm runs).
-  Key make_key(const snn::LayerSpec& spec, std::size_t in_nnz,
-               std::size_t out_nnz, std::uint64_t salt = 0) const;
-
-  /// On hit, copies the cached stats/plan into `run` (reusing its buffer
-  /// capacity) and returns true.
-  bool lookup(const Key& key, kernels::LayerRun& run) const;
-  void insert(const Key& key, const kernels::LayerRun& run);
-
-  std::size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::size_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
- private:
-  /// Occupancy EMAs of one layer (input, output), -1 = not yet seen.
-  struct Ema {
-    double in = -1.0;
-    double out = -1.0;
-  };
-  struct Slot {
-    bool used = false;
-    Key key{};
-    Value value;
-  };
-
-  long snapped_bucket(double& ema, std::size_t nnz) const;
-  /// Probe start + step for a key (capacity is a power of two).
-  std::size_t probe_start(const Key& key) const;
-  /// Find the slot holding `key`, or the empty slot it would go to; null
-  /// when the probe chain is exhausted (table effectively full). Requires
-  /// mu_ held.
-  Slot* find_slot(const Key& key) const;
-
-  mutable std::mutex mu_;
-  mutable std::vector<Slot> slots_;  ///< fixed capacity, pre-reserved values
-  mutable std::map<std::uint64_t, Ema> ema_;
-  mutable std::atomic<std::size_t> hits_{0};
-  mutable std::atomic<std::size_t> misses_{0};
 };
 
 /// One in-flight sample's borrowed buffers for a batch-scope layer call (see
@@ -290,13 +196,10 @@ class ExecutionBackend {
 };
 
 /// The seed's hard-wired analytical path, now one backend among several.
-/// Optionally memoizes the timing pass (see CostMemo above).
 class AnalyticalBackend : public ExecutionBackend {
  public:
-  explicit AnalyticalBackend(const kernels::RunOptions& opt,
-                             bool memoize_cost = false)
-      : ExecutionBackend(opt),
-        memo_(memoize_cost ? std::make_unique<CostMemo>() : nullptr) {}
+  explicit AnalyticalBackend(const kernels::RunOptions& opt)
+      : ExecutionBackend(opt) {}
 
   const char* name() const override { return "analytical"; }
 
@@ -330,18 +233,11 @@ class AnalyticalBackend : public ExecutionBackend {
   using ExecutionBackend::run_encode;
   using ExecutionBackend::run_fc;
 
-  /// True when the timing pass is memoized (exact mode otherwise).
-  bool memoized() const { return memo_ != nullptr; }
-  std::size_t cost_cache_hits() const { return memo_ ? memo_->hits() : 0; }
-  std::size_t cost_cache_misses() const {
-    return memo_ ? memo_->misses() : 0;
-  }
-
  protected:
-  // Timing tails: the (optionally memoized) timing pass over the spikes the
-  // functional pass just wrote into `ks`. Every execution path — per lane,
-  // row-tiled, band-major — ends in one of these, so the cycle-accurate
-  // backend appends its ISS re-anchoring by overriding them alone.
+  // Timing tails: the exact timing pass over the spikes the functional pass
+  // just wrote into `ks`. Every execution path — per lane, row-tiled,
+  // band-major — ends in one of these, so the cycle-accurate backend
+  // appends its ISS re-anchoring by overriding them alone.
   virtual void time_encode(const snn::LayerSpec& spec,
                            kernels::KernelScratch& ks) const;
   virtual void time_conv(const snn::LayerSpec& spec,
@@ -352,18 +248,11 @@ class AnalyticalBackend : public ExecutionBackend {
                        kernels::KernelScratch& ks) const;
 
  private:
-  /// Run `timing` behind the memo, keyed on the input occupancy `in_nnz`
-  /// and the output spikes already in `ks`.
-  void memoized_timing(const snn::LayerSpec& spec, std::size_t in_nnz,
-                       kernels::KernelScratch& ks,
-                       common::FunctionRef<void()> timing) const;
   /// A conv or encode layer's functional pass as row tiles on `pool`, then
   /// each lane's timing tail.
   void run_row_tiles(const snn::LayerSpec& spec,
                      const snn::LayerWeights& weights,
                      std::span<const LayerLane> lanes, WorkerPool* pool) const;
-
-  std::unique_ptr<CostMemo> memo_;
 };
 
 /// Instantiate a backend from a config. `pool` is the persistent worker pool

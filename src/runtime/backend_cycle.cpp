@@ -72,8 +72,8 @@ long dense_bucket_length(std::size_t idx) {
 }  // namespace
 
 CycleAccurateBackend::CycleAccurateBackend(const kernels::RunOptions& opt,
-                                           int sample_spvas, bool memoize_cost)
-    : AnalyticalBackend(opt, memoize_cost),
+                                           int sample_spvas)
+    : AnalyticalBackend(opt),
       sample_spvas_(std::max(4, sample_spvas)) {
   sparse_cache_.fill(-1.0);
   dense_cache_.fill(-1.0);

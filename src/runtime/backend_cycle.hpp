@@ -21,8 +21,7 @@ namespace spikestream::runtime {
 class CycleAccurateBackend : public AnalyticalBackend {
  public:
   explicit CycleAccurateBackend(const kernels::RunOptions& opt,
-                                int sample_spvas = 32,
-                                bool memoize_cost = false);
+                                int sample_spvas = 32);
 
   const char* name() const override { return "cycle-accurate"; }
 
@@ -49,8 +48,7 @@ class CycleAccurateBackend : public AnalyticalBackend {
   double baseline_dense_ratio(double len) const;
 
  protected:
-  // Analytical timing (memo included) + ISS re-anchoring of the compute
-  // critical path.
+  // Exact analytical timing + ISS re-anchoring of the compute critical path.
   void time_encode(const snn::LayerSpec& spec,
                    kernels::KernelScratch& ks) const override;
   void time_conv(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,

@@ -20,9 +20,7 @@
 // inter-cluster traffic (broadcast replicas, stripe halos, ofmap gathers,
 // partial reductions) is recorded in KernelStats::noc_bytes and — when
 // NocParams::model_contention is set — charged against the shared-bandwidth
-// ceiling of arch/noc.hpp instead of assuming a perfect crossbar. Timing is
-// always exact (no cost memo): the per-shard occupancy split would break the
-// activity-conservation contract the parity tests pin down.
+// ceiling of arch/noc.hpp instead of assuming a perfect crossbar.
 #pragma once
 
 #include <array>

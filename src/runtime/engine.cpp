@@ -51,7 +51,13 @@ InferenceEngine::InferenceEngine(const snn::Network& net,
 
 void InferenceEngine::init() {
   SPK_CHECK(backend_ != nullptr, "InferenceEngine: null backend");
-  net_.quantize_weights(backend_->options().fmt);
+  const kernels::RunOptions& opt = backend_->options();
+  SPK_CHECK(opt.cores >= 1, "RunOptions::cores must be >= 1, got "
+                                << opt.cores);
+  SPK_CHECK(opt.segment_major_lanes >= 1,
+            "RunOptions::segment_major_lanes must be >= 1, got "
+                << opt.segment_major_lanes);
+  net_.quantize_weights(opt.fmt);
   backend_->prepare(net_);  // partition plans live beside the weights
   state_.reshape(net_);
   backend_->presize_state(state_, net_);

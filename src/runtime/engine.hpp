@@ -90,7 +90,7 @@ class InferenceEngine {
   void run_events(const snn::SpikeMap& events, snn::NetworkState& state,
                   InferenceResult& out) const;
 
-  // --- per-layer stepping API (pipeline executor) ---------------------------
+  // --- per-layer stepping API (run() is a loop over it) ---------------------
   // One timestep can be driven layer by layer instead of through run():
   // begin_sample() sizes `out`, then run_layer(l, ...) executes layer l and
   // returns the spike map the next layer consumes (null after the last
@@ -99,7 +99,7 @@ class InferenceEngine {
   // caller's event map, or null on encode-first networks. The carry aliases
   // buffers inside `state`'s layer-l scratch, so different samples may step
   // concurrently as long as each uses its own (state, out) pair — the
-  // property runtime/pipeline.hpp builds its stage overlap on.
+  // property the lockstep waves below build on.
 
   void begin_sample(InferenceResult& out) const;
   const snn::SpikeMap* run_layer(std::size_t l, const snn::Tensor* image,

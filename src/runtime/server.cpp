@@ -39,7 +39,7 @@ InferenceServer::InferenceServer(const snn::Network& net,
       cfg_(server),
       max_lanes_(cfg_.max_wave_lanes > 0
                      ? cfg_.max_wave_lanes
-                     : std::max(1, engine_.options().segment_major_lanes)),
+                     : engine_.options().segment_major_lanes),
       queue_(server.queue_capacity),
       integrity_(engine_, cfg_.integrity, static_cast<std::size_t>(max_lanes_),
                  cfg_.faults.size()) {

@@ -258,7 +258,7 @@ struct ServerConfig {
   /// long, so light-load latency is bounded by one deadline + one service.
   std::int64_t max_queue_delay_us = 2000;
   /// Wave-size bounds for the SLO controller. max_wave_lanes = 0 means
-  /// RunOptions::segment_major_lanes (clamped to >= 1).
+  /// RunOptions::segment_major_lanes.
   int min_wave_lanes = 1;
   int max_wave_lanes = 0;
   /// SLO-aware sizing on/off (off = every wave targets max_wave_lanes).

@@ -1,8 +1,8 @@
-// Batch-scope timeline of a stage-parallel pipeline (the modeled twin of the
-// host-side PipelinedBatchRunner): given a StagePlan and the per-sample
-// per-layer cycle counts of an executed batch, replay the batch through the
-// stage graph with finite inter-stage spike FIFOs and report makespan,
-// fill/drain, per-stage busy/stall/idle splits and FIFO peak occupancy.
+// Batch-scope timeline of a stage-parallel cluster pipeline: given a
+// StagePlan and the per-sample per-layer cycle counts of an executed batch,
+// replay the batch through the stage graph with finite inter-stage spike
+// FIFOs and report makespan, fill/drain, per-stage busy/stall/idle splits and
+// FIFO peak occupancy.
 //
 // Semantics (the FIFO backpressure contract ARCHITECTURE.md documents):
 //  * Stages process samples in order, store-and-forward at sample

@@ -140,6 +140,32 @@ TEST(Engine, RejectsImagesThatDoNotFitTheEncodeLayer) {
   EXPECT_EQ(eng.run(img, state).final_output.v, ref.step(img).back().output.v);
 }
 
+TEST(Engine, RejectsMalformedRunOptions) {
+  // A core or lane count below one must fail when the engine is built, not
+  // on the first run: cores = 0 used to build an engine whose first run
+  // crashed, cores < 0 threw std::length_error from inside the timing pass,
+  // and segment_major_lanes < 0 made BatchRunner run the whole batch as one
+  // wave while the planner and the server treated it as off.
+  const snn::Network net = calibrated_tiny(37);
+  struct Case {
+    const char* what;
+    int cores, lanes;
+  };
+  const Case cases[] = {
+      {"cores = 0", 0, 1},
+      {"cores = -2", -2, 1},
+      {"segment_major_lanes = 0", 8, 0},
+      {"segment_major_lanes = -1", 8, -1},
+  };
+  for (const Case& c : cases) {
+    k::RunOptions opt;
+    opt.cores = c.cores;
+    opt.segment_major_lanes = c.lanes;
+    EXPECT_THROW(rt::InferenceEngine(net, opt), spikestream::Error) << c.what;
+  }
+  EXPECT_NO_THROW(rt::InferenceEngine(net, k::RunOptions{}));
+}
+
 TEST(Engine, Svgg11SingleImageAllLayersConsistent) {
   // One full S-VGG11 image through both variants: spikes must agree layer by
   // layer (same math, different timing models).

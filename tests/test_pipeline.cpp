@@ -1,11 +1,11 @@
 // Pipelined batch executor (runtime/pipeline.hpp): spike outputs and modeled
 // cycles must be bit-identical to the serial BatchRunner for every pipeline
-// depth, backend and cluster count — the stage overlap may only change host
-// wall-clock. Plus a scratch-aliasing stress test (more samples than lanes,
-// repeated runs on one runner), the batch-level weight-tile reuse
-// semantics that ride on the per-lane scratch, and row-tiled lockstep waves
-// (InferenceEngine::run_layer_batch on a worker pool) against the serial
-// per-sample path.
+// depth, backend and cluster count — its lockstep waves and worker count may
+// only change host wall-clock. Plus a scratch-aliasing stress test (more
+// samples than lanes, repeated runs on one runner), the batch-level
+// weight-tile reuse semantics that ride on the per-lane scratch, and
+// row-tiled lockstep waves (InferenceEngine::run_layer_batch on a worker
+// pool) against the serial per-sample path.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -375,4 +375,47 @@ TEST(Pipeline, LockstepLaneLifetimeUnderWeightReuse) {
   const double warm = saved(pipe.run_single_step(images));
   EXPECT_GT(warm, cold) << "warm lanes must carry over between calls";
   EXPECT_EQ(saved(pipe.run_single_step(images)), warm);
+}
+
+TEST(Pipeline, WeightReuseAccountingIndependentOfWorkerCount) {
+  // Per-sample (not segment-major) weight reuse on the pipelined runner:
+  // sample i runs on lane i mod depth, and the lanes keep their weight
+  // residency across calls. Every modeled stat must equal an explicit
+  // engine-level replay of that lane assignment, whatever the worker count.
+  const snn::Network net = test_net();
+  const auto images = snn::make_batch(7, 41, 16, 16, 3);
+  k::RunOptions opt;
+  opt.batch_weight_reuse = true;
+  opt.segment_major_lanes = 1;
+  for (const int depth : {2, 3}) {
+    for (const int workers : {1, 2, 4}) {
+      const rt::PipelinedBatchRunner pipe(net, opt, {}, {}, depth, workers);
+      const rt::InferenceEngine& engine = pipe.engine();
+      std::vector<snn::NetworkState> states;
+      for (int i = 0; i < depth; ++i) states.push_back(engine.make_state());
+      double saved = 0;
+      for (int call = 0; call < 2; ++call) {
+        const auto got = pipe.run_single_step(images);
+        ASSERT_EQ(got.size(), images.size());
+        for (std::size_t i = 0; i < images.size(); ++i) {
+          snn::NetworkState& st = states[i % static_cast<std::size_t>(depth)];
+          st.clear();
+          const rt::InferenceResult want = engine.run(images[i], st);
+          const std::string where =
+              "depth=" + std::to_string(depth) + " workers=" +
+              std::to_string(workers) + " call " + std::to_string(call) +
+              " sample " + std::to_string(i);
+          EXPECT_EQ(got[i].final_output.v, want.final_output.v) << where;
+          EXPECT_EQ(got[i].total_cycles, want.total_cycles) << where;
+          ASSERT_EQ(got[i].layers.size(), want.layers.size()) << where;
+          for (std::size_t l = 0; l < want.layers.size(); ++l) {
+            expect_same_stats(got[i].layers[l].stats, want.layers[l].stats,
+                              where + " " + net.layer(l).name);
+            saved += want.layers[l].stats.dma_saved_bytes;
+          }
+        }
+      }
+      EXPECT_GT(saved, 0.0) << "weight reuse must be active";
+    }
+  }
 }

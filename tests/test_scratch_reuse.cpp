@@ -192,48 +192,6 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsCycleAccurate) {
       << "cycle-accurate steady state must not calibrate or allocate";
 }
 
-TEST(ScratchReuse, ZeroSteadyStateAllocationsMemoized) {
-  // The cost memo's table is fixed-capacity with pre-reserved entries, so
-  // even a steady-state *miss* (a genuinely new occupancy bucket) inserts
-  // without touching the heap.
-  const snn::Network net = test_net();
-  const auto img = snn::make_batch(1, 13, 16, 16, 3)[0];
-  k::RunOptions opt;
-  rt::BackendConfig cfg;
-  cfg.memoize_cost = true;
-  const rt::InferenceEngine engine(net, opt, cfg);
-  snn::NetworkState state = engine.make_state();
-  rt::InferenceResult res;
-  ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
-  const std::size_t before = spikestream::alloc_hook::allocs();
-  for (int t = 0; t < 12; ++t) engine.run(img, state, res);
-  const std::size_t after = spikestream::alloc_hook::allocs();
-  EXPECT_EQ(after - before, 0u)
-      << "memoized steady state (hits AND misses) must not allocate";
-  const auto* a =
-      dynamic_cast<const rt::AnalyticalBackend*>(&engine.backend());
-  ASSERT_NE(a, nullptr);
-  EXPECT_GT(a->cost_cache_hits(), 0u);
-}
-
-TEST(ScratchReuse, ZeroSteadyStateAllocationsMemoizedCycleAccurate) {
-  // Both caches stacked: ISS ratio buckets + cost memo.
-  const snn::Network net = test_net();
-  const auto img = snn::make_batch(1, 29, 16, 16, 3)[0];
-  k::RunOptions opt;
-  rt::BackendConfig cfg;
-  cfg.kind = rt::BackendKind::kCycleAccurate;
-  cfg.memoize_cost = true;
-  const rt::InferenceEngine engine(net, opt, cfg);
-  snn::NetworkState state = engine.make_state();
-  rt::InferenceResult res;
-  ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
-  const std::size_t before = spikestream::alloc_hook::allocs();
-  for (int t = 0; t < 12; ++t) engine.run(img, state, res);
-  const std::size_t after = spikestream::alloc_hook::allocs();
-  EXPECT_EQ(after - before, 0u);
-}
-
 TEST(ScratchReuse, ZeroSteadyStateAllocationsPooledSharded) {
   // The persistent worker pool extends the zero-allocation contract to the
   // threaded sharded mode: shard fan-out submits stack jobs onto pre-created
@@ -292,7 +250,7 @@ TEST(ScratchReuse, BatchRunnerReusedStatesMatchPerSampleStates) {
 }
 
 TEST(ScratchReuse, PipelinedRunnerSteadyStatePerBatchAllocsStable) {
-  // The pipelined executor's orchestration (tick scheduling, lane
+  // The pipelined executor's orchestration (wave slicing, lane
   // borrowing) must reach a steady per-batch allocation count: after
   // warmup, every further batch allocates exactly as much as the previous
   // one (the residue is the by-value result marshalling, which is
