@@ -3,6 +3,7 @@
 // versions: all published numbers must be re-derivable bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -60,11 +61,26 @@ class Rng {
   /// Bernoulli trial.
   bool bernoulli(double p) { return uniform() < p; }
 
+  /// The state transition of `n` draws. xoshiro256** is linear over GF(2)
+  /// in its 256 state bits (Blackman & Vigna, ACM TOMS 2021), so n draws are
+  /// one 256x256 bit matrix, the n-th power of the one-draw transition,
+  /// built by square-and-multiply. Build it once per distance; applying it
+  /// costs about as much as 256 draws.
+  class Jump {
+   public:
+    explicit Jump(std::uint64_t n);
+    /// Leaves `rng` exactly where `n` next_u64() calls would.
+    void apply(Rng& rng) const;
+
+   private:
+    std::array<std::array<std::uint64_t, 4>, 256> col_;  ///< image of bit j
+  };
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
-  std::uint64_t state_[4];
+  std::array<std::uint64_t, 4> state_;
 };
 
 }  // namespace spikestream::common

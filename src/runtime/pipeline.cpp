@@ -30,15 +30,12 @@ PipelinedBatchRunner::PipelinedBatchRunner(const snn::Network& net,
 PipelinedBatchRunner::~PipelinedBatchRunner() = default;
 
 std::vector<PipelinedBatchRunner::Lane> PipelinedBatchRunner::borrow_lanes(
-    std::size_t n_samples) const {
+    std::size_t want) const {
   std::vector<Lane> lanes;
   {
     std::lock_guard<std::mutex> lock(lanes_mu_);
     lanes.swap(lane_cache_);  // empty if another run holds the cache
   }
-  const std::size_t want = std::min<std::size_t>(
-      static_cast<std::size_t>(depth_), std::max<std::size_t>(n_samples, 1));
-  if (lanes.size() > want) lanes.resize(want);
   while (lanes.size() < want) {
     lanes.emplace_back();
     lanes.back().state = engine_.make_state();
@@ -57,11 +54,15 @@ void PipelinedBatchRunner::run_steps(const std::vector<snn::Tensor>& images,
       engine_.network().num_layers() == 0) {
     return;
   }
-  std::vector<Lane> lanes = borrow_lanes(images.size());
+  // A short call runs on the first lanes only; the rest stay in the cache
+  // with their weight residency.
+  const std::size_t want =
+      std::min(static_cast<std::size_t>(depth_), images.size());
+  std::vector<Lane> lanes = borrow_lanes(want);
   std::vector<InferenceEngine::BatchLane> wave;
-  wave.reserve(lanes.size());
-  for (Lane& lane : lanes) {
-    wave.push_back({nullptr, nullptr, &lane.state, &lane.step});
+  wave.reserve(want);
+  for (std::size_t i = 0; i < want; ++i) {
+    wave.push_back({nullptr, nullptr, &lanes[i].state, &lanes[i].step});
   }
   run_lockstep_batch(engine_, wave, images, timesteps, pool_.get(), keep);
   return_lanes(std::move(lanes));

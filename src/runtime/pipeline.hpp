@@ -66,13 +66,14 @@ class PipelinedBatchRunner {
     InferenceResult step;
   };
 
-  /// Borrow the warmed lane set (or build one on first use / while another
-  /// run holds it) and return it afterwards — lanes are full NetworkStates,
-  /// and rebuilding `depth` of them per call would cost more than a short
-  /// batch saves. Returned lanes keep their arenas (and their
-  /// weight-residency marks: with batch_weight_reuse the weights genuinely
-  /// stay pinned across back-to-back batches on one engine).
-  std::vector<Lane> borrow_lanes(std::size_t n_samples) const;
+  /// Borrow the whole warmed lane set, grown to at least `want` lanes (or
+  /// build one on first use / while another run holds it), and return all
+  /// of it afterwards — lanes are full NetworkStates, and rebuilding `depth`
+  /// of them per call would cost more than a short batch saves. Returned
+  /// lanes keep their arenas (and their weight-residency marks: with
+  /// batch_weight_reuse the weights genuinely stay pinned across
+  /// back-to-back batches on one engine, short calls included).
+  std::vector<Lane> borrow_lanes(std::size_t want) const;
   void return_lanes(std::vector<Lane>&& lanes) const;
 
   /// `timesteps` steps of every image, each finished step handed to `keep`:

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <optional>
 
 #include "common/check.hpp"
+#include "runtime/worker_pool.hpp"
 #include "snn/reference.hpp"
 
 namespace spikestream::snn {
@@ -59,13 +62,19 @@ std::vector<double> calibrate_thresholds(Network& net,
   std::vector<SpikeMap> carry(n_img);
   std::vector<Tensor> padded_imgs(n_img);
 
+  // The per-image passes fan out on a transient pool above the set-up gate;
+  // every image writes only its own slots, so the result is the serial one.
+  std::optional<runtime::WorkerPool> setup;
+  if (net.threaded_setup()) setup.emplace(static_cast<int>(n_img) - 1);
+  runtime::WorkerPool* const workers = setup ? &*setup : nullptr;
+
   for (std::size_t l = 0; l < n_layers; ++l) {
     LayerSpec& spec = net.layer(l);
     const LayerWeights& w = net.weights(l);
 
     // 1) Input currents for every calibration image (threshold-independent).
     std::vector<Tensor> currents(n_img);
-    for (std::size_t i = 0; i < n_img; ++i) {
+    runtime::for_each_index(workers, n_img, [&](std::size_t i) {
       if (spec.kind == LayerKind::kEncodeConv) {
         padded_imgs[i] = Reference::pad_dense(
             images[i], Reference::encode_padding(spec, images[i]));
@@ -75,11 +84,11 @@ std::vector<double> calibrate_thresholds(Network& net,
       } else {
         currents[i] = Reference::fc_currents(carry[i], w);
       }
-    }
+    });
 
     // 2) v_th = (1 - target)-quantile of the pooled current distribution:
     // the qi-th smallest current, selected in linear time (the element a
-    // full sort would put at qi).
+    // full sort would put at qi). Serial, in image order.
     std::vector<float> pool;
     for (const auto& t : currents) pool.insert(pool.end(), t.v.begin(), t.v.end());
     const double target = target_rates[l];
@@ -94,12 +103,12 @@ std::vector<double> calibrate_thresholds(Network& net,
     spec.lif.v_rst = vth;
 
     // 3) Fire with the chosen threshold and prepare the next layer's inputs.
-    std::size_t spikes = 0, total = 0;
-    for (std::size_t i = 0; i < n_img; ++i) {
+    std::vector<std::size_t> fired(n_img), seen(n_img);
+    runtime::for_each_index(workers, n_img, [&](std::size_t i) {
       Tensor membrane(currents[i].h, currents[i].w, currents[i].c);
       SpikeMap out = lif_step(spec.lif, currents[i], membrane);
-      spikes += spike_count(out);
-      total += out.size();
+      fired[i] = spike_count(out);
+      seen[i] = out.size();
       if (spec.pool_after) out = or_pool2(out);
       if (l + 1 < n_layers) {
         if (net.layer(l + 1).kind == LayerKind::kFc) {
@@ -109,7 +118,11 @@ std::vector<double> calibrate_thresholds(Network& net,
         }
       }
       carry[i] = std::move(out);
-    }
+    });
+    const std::size_t spikes =
+        std::accumulate(fired.begin(), fired.end(), std::size_t{0});
+    const std::size_t total =
+        std::accumulate(seen.begin(), seen.end(), std::size_t{0});
     achieved[l] = total ? static_cast<double>(spikes) / static_cast<double>(total)
                         : 0.0;
   }

@@ -33,7 +33,9 @@ std::vector<double> wide_fc_target_rates();
 std::vector<double> deep_tower_target_rates(int depth = 14);
 
 /// Calibrate `net` thresholds in place over the calibration images.
-/// Returns the achieved mean output rate per layer.
+/// Returns the achieved mean output rate per layer. Above the set-up gate
+/// (Network::threaded_setup) the per-image passes run on a transient worker
+/// pool, joined before return; thresholds and rates are the serial ones.
 std::vector<double> calibrate_thresholds(Network& net,
                                          std::span<const Tensor> images,
                                          std::span<const double> target_rates);

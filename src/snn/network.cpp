@@ -1,13 +1,27 @@
 #include "snn/network.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
 #include "common/simd.hpp"
+#include "runtime/worker_pool.hpp"
 
 namespace spikestream::snn {
 
 void Network::add_layer(const LayerSpec& spec) {
+  const auto require = [&](const char* field, int value, int min) {
+    SPK_CHECK(value >= min, "layer '" << spec.name << "': " << field << " = "
+                                      << value << ", must be >= " << min);
+  };
+  require("in_c", spec.in_c, 1);
+  require("out_c", spec.out_c, 1);
+  require("pad_next", spec.pad_next, 0);
+  if (spec.kind != LayerKind::kFc) {
+    require("k", spec.k, 1);
+    require("in_h", spec.in_h, spec.k);
+    require("in_w", spec.in_w, spec.k);
+  }
   LayerWeights w;
   w.k = spec.kind == LayerKind::kFc ? 1 : spec.k;
   w.in_c = spec.in_c;
@@ -20,14 +34,49 @@ void Network::add_layer(const LayerSpec& spec) {
   weights_.push_back(std::move(w));
 }
 
+std::size_t Network::num_weights() const {
+  std::size_t n = 0;
+  for (const LayerWeights& w : weights_) n += w.v.size();
+  return n;
+}
+
 void Network::init_weights(common::Rng& rng) {
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const double fan_in = static_cast<double>(layers_[l].fan_in());
-    const double stddev = std::sqrt(2.0 / fan_in);
-    for (float& x : weights_[l].v) {
-      x = static_cast<float>(rng.normal(0.0, stddev));
-    }
+  std::vector<std::size_t> first{0};  // flat index of each layer's weight 0
+  for (const LayerWeights& w : weights_) {
+    first.push_back(first.back() + w.v.size());
   }
+  // Flat weights [g, end) from `r`: two draws each (Rng::normal has no
+  // rejection step), in the scalar libm expression the weight image pins.
+  const auto fill = [&](common::Rng& r, std::size_t g, std::size_t end) {
+    auto l = static_cast<std::size_t>(
+        std::upper_bound(first.begin(), first.end(), g) - first.begin() - 1);
+    for (; g < end; ++l) {
+      const double fan_in = static_cast<double>(layers_[l].fan_in());
+      const double stddev = std::sqrt(2.0 / fan_in);
+      std::vector<float>& v = weights_[l].v;
+      for (const std::size_t stop = std::min(end, first[l + 1]); g < stop; ++g) {
+        v[g - first[l]] = static_cast<float>(r.normal(0.0, stddev));
+      }
+    }
+  };
+  const std::size_t n = first.back();
+  if (!threaded_setup()) {
+    fill(rng, 0, n);
+    return;
+  }
+  // Chunk c starts 2 * c * kInitChunk draws after `rng`.
+  const std::size_t chunks = (n + kInitChunk - 1) / kInitChunk;
+  std::vector<common::Rng> streams(chunks, rng);
+  const common::Rng::Jump to_next_chunk(2 * kInitChunk);
+  for (std::size_t c = 1; c < chunks; ++c) {
+    streams[c] = streams[c - 1];
+    to_next_chunk.apply(streams[c]);
+  }
+  runtime::WorkerPool pool(static_cast<int>(chunks) - 1);
+  runtime::for_each_index(&pool, chunks, [&](std::size_t c) {
+    fill(streams[c], c * kInitChunk, std::min(n, (c + 1) * kInitChunk));
+  });
+  rng = streams.back();  // the last chunk ends where the serial loop does
 }
 
 void LayerWeights::build_half() {

@@ -76,6 +76,9 @@ struct LayerWeights {
 
 class Network {
  public:
+  /// Appends a layer with zeroed weights. Throws Error, naming the layer and
+  /// the field, unless in_c, out_c >= 1 and pad_next >= 0, and for conv and
+  /// encode layers k >= 1 and in_h, in_w >= k.
   void add_layer(const LayerSpec& spec);
 
   std::size_t num_layers() const { return layers_.size(); }
@@ -84,8 +87,21 @@ class Network {
   const LayerWeights& weights(std::size_t i) const { return weights_[i]; }
   LayerWeights& weights(std::size_t i) { return weights_[i]; }
 
-  /// He-initialize all weights (deterministic given the seed).
+  /// He-initialize all weights (deterministic given the seed). Weight g of
+  /// the flattened layers takes draws 2g and 2g + 1 of `rng`'s stream, which
+  /// is left where that serial loop leaves it. Above the set-up gate the
+  /// weights fill in chunks of kInitChunk on a transient worker pool, each
+  /// chunk from its own jumped-ahead copy of `rng`: same bits, more cores.
   void init_weights(common::Rng& rng);
+
+  /// Weights per He-init chunk.
+  static constexpr std::size_t kInitChunk = std::size_t{1} << 16;
+  /// All layers' weights.
+  std::size_t num_weights() const;
+  /// The set-up gate: init_weights and calibrate_thresholds fan out over a
+  /// transient worker pool only for networks of at least two init chunks;
+  /// smaller ones run serially and start no thread.
+  bool threaded_setup() const { return num_weights() >= 2 * kInitChunk; }
 
   /// Round every weight to the given storage format (Section III-C batches
   /// them in SIMD words of this format).

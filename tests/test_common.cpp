@@ -57,6 +57,38 @@ TEST(Rng, BernoulliRate) {
   EXPECT_NEAR(n / 100000.0, 0.3, 0.01);
 }
 
+TEST(Rng, JumpEqualsStepping) {
+  // A jump of n leaves the state n next_u64() calls leave: the identity,
+  // one step, all-ones, power-of-two and mixed exponents (63, 64, 65) of
+  // the square-and-multiply, and the He-init chunk distance (2^17 draws).
+  for (const std::uint64_t n : {0ull, 1ull, 63ull, 64ull, 65ull, 1ull << 17}) {
+    sc::Rng stepped(99), jumped(99);
+    for (std::uint64_t i = 0; i < n; ++i) stepped.next_u64();
+    sc::Rng::Jump(n).apply(jumped);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(stepped.next_u64(), jumped.next_u64()) << "n = " << n;
+    }
+  }
+}
+
+TEST(Rng, JumpsCompose) {
+  // Too far to step: a jump of a then b equals one jump of a + b, and one
+  // Jump applied twice equals a jump of twice its distance.
+  const std::uint64_t a = 0x0123456789ABCDEFull, b = 0x00FEDCBA98765431ull;
+  sc::Rng two(5), one(5);
+  sc::Rng::Jump(a).apply(two);
+  sc::Rng::Jump(b).apply(two);
+  sc::Rng::Jump(a + b).apply(one);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(two.next_u64(), one.next_u64());
+
+  const sc::Rng::Jump big((1ull << 40) + 3);
+  sc::Rng twice(6), once(6);
+  big.apply(twice);
+  big.apply(twice);
+  sc::Rng::Jump((1ull << 41) + 6).apply(once);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(twice.next_u64(), once.next_u64());
+}
+
 TEST(Stats, WelfordMatchesClosedForm) {
   sc::RunningStats st;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) st.add(x);

@@ -377,6 +377,31 @@ TEST(Pipeline, LockstepLaneLifetimeUnderWeightReuse) {
   EXPECT_EQ(saved(pipe.run_single_step(images)), warm);
 }
 
+TEST(Pipeline, ShortCallKeepsWarmLanes) {
+  // A call with fewer images than `depth` runs on the first lanes only and
+  // keeps the others warm: were they dropped, the next full batch would pay
+  // cold weight DMA again under batch_weight_reuse on the rebuilt lanes.
+  const snn::Network net = test_net();
+  const auto images = snn::make_batch(6, 77, 16, 16, 3);
+  const std::vector<snn::Tensor> one(images.begin(), images.begin() + 1);
+  k::RunOptions opt;
+  opt.batch_weight_reuse = true;
+  const rt::PipelinedBatchRunner pipe(net, opt, {}, {}, /*depth=*/3,
+                                      /*workers=*/1);
+  const auto saved = [](const std::vector<rt::InferenceResult>& res) {
+    double bytes = 0;
+    for (const auto& r : res) {
+      for (const auto& m : r.layers) bytes += m.stats.dma_saved_bytes;
+    }
+    return bytes;
+  };
+  const double cold = saved(pipe.run_single_step(images));
+  const double warm = saved(pipe.run_single_step(images));
+  EXPECT_GT(warm, cold) << "warm lanes must carry over between calls";
+  EXPECT_GT(saved(pipe.run_single_step(one)), 0.0) << "lane 0 is warm";
+  EXPECT_EQ(saved(pipe.run_single_step(images)), warm);
+}
+
 TEST(Pipeline, WeightReuseAccountingIndependentOfWorkerCount) {
   // Per-sample (not segment-major) weight reuse on the pipelined runner:
   // sample i runs on lane i mod depth, and the lanes keep their weight

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <type_traits>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "snn/input_gen.hpp"
@@ -106,6 +109,106 @@ TEST(Network, WeightInitIsDeterministicAndScaled) {
   const double expect = std::sqrt(2.0 / static_cast<double>(a.layer(1).fan_in()));
   EXPECT_NEAR(st.stddev(), expect, 0.2 * expect);
   EXPECT_NEAR(st.mean(), 0.0, 0.05);
+}
+
+TEST(Network, RejectsMalformedLayerSpecs) {
+  // Caught at add_layer, each names the layer and the field. Unchecked, a
+  // conv of zero out_c or k runs and reports modeled cycles for no work, a
+  // conv smaller than its kernel fails in the tile planner on its first run,
+  // in_c = -4 throws std::length_error from std::vector, and in_c = 0 fails
+  // only at run time as an ifmap shape mismatch.
+  using K = snn::LayerKind;
+  struct Case {
+    const char* what;
+    const char* field;
+    K kind;
+    int in_h, in_w, in_c, k, out_c, pad_next;
+  };
+  const Case cases[] = {
+      {"conv out_c = 0", "out_c", K::kConv, 10, 10, 8, 3, 0, 1},
+      {"conv k = 0", "k", K::kConv, 10, 10, 8, 0, 8, 1},
+      {"conv in_h < k", "in_h", K::kConv, 2, 10, 8, 3, 8, 1},
+      {"conv in_w < k", "in_w", K::kConv, 10, 2, 8, 3, 8, 1},
+      {"conv in_c = -4", "in_c", K::kConv, 10, 10, -4, 3, 8, 1},
+      {"conv in_c = 0", "in_c", K::kConv, 10, 10, 0, 3, 8, 1},
+      {"conv pad_next = -1", "pad_next", K::kConv, 10, 10, 8, 3, 8, -1},
+      {"encode k = -1", "k", K::kEncodeConv, 10, 10, 3, -1, 8, 1},
+      {"encode in_w < k", "in_w", K::kEncodeConv, 10, 4, 3, 5, 8, 1},
+      {"fc out_c = 0", "out_c", K::kFc, 1, 1, 64, 3, 0, 1},
+      {"fc in_c = 0", "in_c", K::kFc, 1, 1, 0, 3, 10, 1},
+  };
+  for (const Case& c : cases) {
+    snn::LayerSpec s;
+    s.kind = c.kind;
+    s.name = "probe";
+    s.in_h = c.in_h;
+    s.in_w = c.in_w;
+    s.in_c = c.in_c;
+    s.k = c.k;
+    s.out_c = c.out_c;
+    s.pad_next = c.pad_next;
+    snn::Network net;
+    try {
+      net.add_layer(s);
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const spikestream::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'probe'"), std::string::npos) << c.what << ": " << what;
+      EXPECT_NE(what.find(c.field), std::string::npos) << c.what << ": " << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.what << ": threw '" << e.what()
+                    << "', not spikestream::Error";
+    }
+    EXPECT_EQ(net.num_layers(), 0u) << c.what;
+  }
+  // The smallest valid shapes: a conv exactly its kernel's size without
+  // padding, and an FC layer, whose k and spatial dims are unused.
+  snn::Network net;
+  snn::LayerSpec conv;
+  conv.in_h = conv.in_w = conv.k = 3;
+  conv.pad_next = 0;
+  EXPECT_NO_THROW(net.add_layer(conv));
+  snn::LayerSpec fc;
+  fc.kind = K::kFc;
+  fc.k = 0;
+  EXPECT_NO_THROW(net.add_layer(fc));
+}
+
+TEST(Network, ChunkedInitMatchesSerialDraws) {
+  // Five init chunks over three FC layers of 65536, 128000 and 100000
+  // weights: one chunk boundary falls exactly between fc1 and fc2, three
+  // fall inside fc2 and fc3, and the last chunk is partial. The threaded
+  // init must equal a serial rng.normal(0, stddev) loop bit for bit and
+  // leave the caller's Rng where that loop does.
+  snn::Network net;
+  const int dims[] = {512, 128, 1000, 100};
+  for (int l = 0; l < 3; ++l) {
+    snn::LayerSpec s;
+    s.kind = snn::LayerKind::kFc;
+    s.name = "fc" + std::to_string(l + 1);
+    s.in_c = dims[l];
+    s.out_c = dims[l + 1];
+    net.add_layer(s);
+  }
+  ASSERT_EQ(net.num_weights(), 293536u);
+  ASSERT_EQ(net.num_weights() / snn::Network::kInitChunk, 4u);
+  ASSERT_TRUE(net.threaded_setup());
+  sc::Rng rng(17), serial(17);
+  net.init_weights(rng);
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    const double fan_in = static_cast<double>(net.layer(l).fan_in());
+    const double stddev = std::sqrt(2.0 / fan_in);
+    std::vector<float> want(net.weights(l).v.size());
+    for (float& x : want) x = static_cast<float>(serial.normal(0.0, stddev));
+    EXPECT_EQ(0, std::memcmp(want.data(), net.weights(l).v.data(),
+                             want.size() * sizeof(float)))
+        << net.layer(l).name;
+  }
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(serial.next_u64(), rng.next_u64());
+
+  // Below the gate: the tiny net and the tower run serially.
+  EXPECT_FALSE(snn::Network::make_tiny().threaded_setup());
+  EXPECT_FALSE(snn::Network::make_deep_tower().threaded_setup());
 }
 
 TEST(Network, QuantizeIsIdempotent) {
