@@ -51,17 +51,15 @@ struct KernelScratch {
   ScheduleResult sched;            ///< steal/static schedule simulation
 };
 
-/// Per-cluster lane of the sharded backend: the slice of state one simulated
-/// cluster owns plus the scratch its kernel call runs in. Which members a
-/// plan uses depends on its axis: output-channel shards compact a channel
-/// slice of the membrane, ifmap stripes additionally carry the halo'd input
-/// stripe (CSR rows or dense image rows), fan-in shards only run the timing
-/// pass in `ks`. All buffers grow on first use and are reused afterwards.
+/// Per-cluster lane of the sharded backend: the scratch one simulated
+/// cluster's timing pass runs in. The layer's spikes come from one
+/// full-width functional pass; `ks.run.out_spikes` holds this shard's slice
+/// of them (channels or output rows). Conv ifmap stripes additionally carry
+/// their halo'd CSR input rows, which set the stripe's stream lengths and
+/// footprint. All buffers grow on first use and are reused afterwards.
 struct ShardLane {
   KernelScratch ks;
-  snn::Tensor membrane;     ///< channel- or row-slice of the full membrane
-  compress::CsrIfmap csr;   ///< ifmap-stripe: halo'd CSR row slice
-  snn::Tensor input;        ///< encode stripe: padded-image row slice
+  compress::CsrIfmap csr;   ///< conv ifmap stripe: halo'd CSR row slice
 };
 
 /// Per-(state, layer) arena: the main execution lane plus the engine-side

@@ -150,7 +150,15 @@ void AnalyticalBackend::run_batch(const snn::LayerSpec& spec,
                                   std::span<const LayerLane> lanes,
                                   WorkerPool* pool) const {
   if (spec.kind != snn::LayerKind::kFc) {
-    run_row_tiles(spec, weights, lanes, pool);
+    functional_row_tiles(spec, weights, lanes, pool);
+    for_each_index(pool, lanes.size(), [&](std::size_t i) {
+      kernels::KernelScratch& ks = lanes[i].scratch->main;
+      if (spec.kind == snn::LayerKind::kEncodeConv) {
+        time_encode(spec, ks);
+      } else {
+        time_conv(spec, *lanes[i].ifmap, ks);
+      }
+    });
     return;
   }
   if (lanes.size() > 1 && opt_.segment_major_lanes > 1) {
@@ -167,10 +175,9 @@ void AnalyticalBackend::run_batch(const snn::LayerSpec& spec,
   ExecutionBackend::run_batch(spec, weights, lanes, pool);
 }
 
-void AnalyticalBackend::run_row_tiles(const snn::LayerSpec& spec,
-                                      const snn::LayerWeights& weights,
-                                      std::span<const LayerLane> lanes,
-                                      WorkerPool* pool) const {
+void functional_row_tiles(const snn::LayerSpec& spec,
+                          const snn::LayerWeights& weights,
+                          std::span<const LayerLane> lanes, WorkerPool* pool) {
   const bool encode = spec.kind == snn::LayerKind::kEncodeConv;
   const auto rows = static_cast<std::size_t>(spec.out_h());
   const std::size_t blocks = row_blocks(spec, lanes, pool);
@@ -180,11 +187,17 @@ void AnalyticalBackend::run_row_tiles(const snn::LayerSpec& spec,
   // Spike count of every tile, lane-major. The buffer is thread_local so
   // the steady state reuses its capacity; the tasks below reach it through
   // `fired`, never by name (a pool thread would see its own instance). A
-  // single tile uses the stack, like run_layer_batch's one-lane case.
+  // single tile uses the stack, like run_layer_batch's one-lane case. The
+  // tile count follows input density, so the buffer is reserved for its
+  // bound (one tile per output row): its capacity settles at the widest
+  // wave of the tallest layer, and a denser step never grows it.
   static thread_local std::vector<std::size_t> fired_buf;
   std::size_t one = 0;
   const std::size_t tiles = lanes.size() * blocks;
-  if (tiles > 1) fired_buf.assign(tiles, 0);
+  if (tiles > 1) {
+    fired_buf.reserve(lanes.size() * rows);
+    fired_buf.assign(tiles, 0);
+  }
   const std::span<std::size_t> fired =
       tiles > 1 ? std::span(fired_buf) : std::span(&one, tiles);
   for_each_index(pool, fired.size(), [&](std::size_t t) {
@@ -200,17 +213,11 @@ void AnalyticalBackend::run_row_tiles(const snn::LayerSpec& spec,
                             spec, weights, *lane.ifmap, *lane.membrane, ks,
                             oy0, oy1);
   });
-  for_each_index(pool, lanes.size(), [&](std::size_t i) {
-    kernels::KernelScratch& ks = lanes[i].scratch->main;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
     const auto lane_tiles = fired.subspan(i * blocks, blocks);
-    ks.run.out_nnz =
+    lanes[i].scratch->main.run.out_nnz =
         std::accumulate(lane_tiles.begin(), lane_tiles.end(), std::size_t{0});
-    if (encode) {
-      time_encode(spec, ks);
-    } else {
-      time_conv(spec, *lanes[i].ifmap, ks);
-    }
-  });
+  }
 }
 
 std::unique_ptr<ExecutionBackend> make_backend(

@@ -6,9 +6,10 @@
 //  * CycleAccurateBackend — the same functional math, but per-layer timing is
 //    re-anchored by running the paper's inner loops on the cycle-level
 //    `arch::Cluster` ISS (what tests/test_model_vs_iss.cpp did ad hoc).
-//  * ShardedBackend       — partitions each layer's SIMD output-channel tiles
-//    across N simulated clusters (std::thread workers) and merges the
-//    per-cluster KernelStats: wall-clock takes the max, activity sums.
+//  * ShardedBackend       — computes each layer's spikes in one full-width
+//    functional pass, then times N simulated clusters' shards of the layer
+//    (output-channel tiles, row stripes or FC fan-in segments) and merges
+//    the per-cluster KernelStats: wall-clock takes the max, activity sums.
 //
 // All backends compute bit-identical spikes (they share one functional pass
 // contract); they differ only in the timing/energy attribution. Backends are
@@ -246,14 +247,18 @@ class AnalyticalBackend : public ExecutionBackend {
   virtual void time_fc(const snn::LayerSpec& spec,
                        const compress::CsrIfmap& ifmap,
                        kernels::KernelScratch& ks) const;
-
- private:
-  /// A conv or encode layer's functional pass as row tiles on `pool`, then
-  /// each lane's timing tail.
-  void run_row_tiles(const snn::LayerSpec& spec,
-                     const snn::LayerWeights& weights,
-                     std::span<const LayerLane> lanes, WorkerPool* pool) const;
 };
+
+/// The functional pass of a conv or encode layer for every lane of a wave,
+/// as (lane x output-row-block) tiles claimed off `pool` (null = the calling
+/// thread alone): shapes each lane's output buffers, accumulates and fires
+/// its rows, and sums each lane's tile spike counts into its
+/// `scratch->main.run.out_nnz`. Bit-identical to the whole-layer pass for
+/// any tile count. The analytical backend follows it with each lane's timing
+/// tail; the sharded backend with its per-shard timing passes.
+void functional_row_tiles(const snn::LayerSpec& spec,
+                          const snn::LayerWeights& weights,
+                          std::span<const LayerLane> lanes, WorkerPool* pool);
 
 /// Instantiate a backend from a config. `pool` is the persistent worker pool
 /// a sharded backend should fan its shards out on (shared with the batch

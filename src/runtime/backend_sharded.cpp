@@ -10,53 +10,33 @@ namespace spikestream::runtime {
 
 namespace {
 
-/// Copy channels [lo, hi) of an HWC tensor into a compact caller-owned
-/// tensor (reused capacity).
-template <typename T>
-void slice_channels_into(const snn::Hwc<T>& t, int lo, int hi,
-                         snn::Hwc<T>& out) {
+/// Copy channels [lo, hi) of the layer's full-width spikes into a shard's
+/// compact map (reused capacity); returns the slice's spike count.
+std::size_t slice_channels_into(const snn::SpikeMap& t, int lo, int hi,
+                                snn::SpikeMap& out) {
   out.reshape(t.h, t.w, hi - lo);
-  const T* src = t.v.data() + lo;
-  T* dst = out.v.data();
+  const std::uint8_t* src = t.v.data() + lo;
+  std::uint8_t* dst = out.v.data();
   const std::size_t positions =
       static_cast<std::size_t>(t.h) * static_cast<std::size_t>(t.w);
   const std::size_t n = static_cast<std::size_t>(hi - lo);
   for (std::size_t p = 0; p < positions; ++p) {
     std::copy_n(src + p * static_cast<std::size_t>(t.c), n, dst + p * n);
   }
+  return snn::spike_count(out);
 }
 
-/// Scatter a compact channel slice back into channels [lo, ...) of `full`.
-template <typename T>
-void unslice_channels(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
-  const T* src = part.v.data();
-  T* dst = full.v.data() + lo;
-  const std::size_t positions =
-      static_cast<std::size_t>(part.h) * static_cast<std::size_t>(part.w);
-  const std::size_t n = static_cast<std::size_t>(part.c);
-  for (std::size_t p = 0; p < positions; ++p) {
-    std::copy_n(src + p * n, n, dst + p * static_cast<std::size_t>(full.c));
-  }
-}
-
-/// Copy spatial rows [lo, hi) of an HWC tensor into a compact caller-owned
-/// tensor. Rows are contiguous in HWC, so this is one block copy.
-template <typename T>
-void slice_rows_into(const snn::Hwc<T>& t, int lo, int hi, snn::Hwc<T>& out) {
+/// Copy spatial rows [lo, hi) of the layer's full-width spikes into a
+/// shard's compact map (one block copy: rows are contiguous in HWC); returns
+/// the slice's spike count.
+std::size_t slice_rows_into(const snn::SpikeMap& t, int lo, int hi,
+                            snn::SpikeMap& out) {
   out.reshape(hi - lo, t.w, t.c);
   const std::size_t row =
       static_cast<std::size_t>(t.w) * static_cast<std::size_t>(t.c);
   std::copy_n(t.v.data() + static_cast<std::size_t>(lo) * row,
               static_cast<std::size_t>(hi - lo) * row, out.v.data());
-}
-
-/// Scatter a compact row slice back into rows [lo, ...) of `full`.
-template <typename T>
-void unslice_rows(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
-  const std::size_t row = static_cast<std::size_t>(full.w) *
-                          static_cast<std::size_t>(full.c);
-  std::copy_n(part.v.data(), part.v.size(),
-              full.v.data() + static_cast<std::size_t>(lo) * row);
+  return snn::spike_count(out);
 }
 
 }  // namespace
@@ -104,10 +84,13 @@ std::vector<std::pair<int, int>> ShardedBackend::slices(int out_c) const {
 }
 
 std::shared_ptr<const kernels::LayerPlan> ShardedBackend::plan_handle(
-    const snn::LayerSpec& spec) const {
-  const std::uint64_t sig = kernels::layer_signature(spec);
+    std::uint64_t sig, const snn::LayerSpec& spec, StageInfo* stage) const {
   {
     std::shared_lock<std::shared_mutex> lock(plan_mu_);
+    if (stage != nullptr) {
+      const auto st = stage_info_.find(sig);  // empty outside stage mode
+      if (st != stage_info_.end()) *stage = st->second;
+    }
     const auto it = plans_.find(sig);
     if (it != plans_.end()) return it->second;
   }
@@ -116,7 +99,8 @@ std::shared_ptr<const kernels::LayerPlan> ShardedBackend::plan_handle(
   if (it != plans_.end()) return it->second;
   // Cold miss: plan at the *active* width, so a layer first seen after a
   // fail-stop never lands shards on a failed cluster. Healthy runs take the
-  // member partitioner (no construction on the common path).
+  // member partitioner (no construction on the common path). Only layers
+  // outside the prepared network miss, so none has a stage assignment.
   const int width = active_clusters_.load(std::memory_order_relaxed);
   kernels::LayerPlan plan =
       width == clusters_
@@ -132,10 +116,11 @@ const kernels::LayerPlan& ShardedBackend::plan_for(
     const snn::LayerSpec& spec) const {
   // The handle keeps the plan's refcount in the cache; the reference stays
   // valid until a re-plan swap replaces it (see the header note).
-  return *plan_handle(spec);
+  return *plan_handle(kernels::layer_signature(spec), spec);
 }
 
-void ShardedBackend::observe_density(const snn::LayerSpec& spec,
+void ShardedBackend::observe_density(std::uint64_t sig,
+                                     const snn::LayerSpec& spec,
                                      std::size_t in_nnz,
                                      std::size_t in_elems) const {
   // Stage mode freezes plans at the stage grouping prepare() chose: an
@@ -151,7 +136,6 @@ void ShardedBackend::observe_density(const snn::LayerSpec& spec,
   // then-current EMA; that choice stands until the fleet heals — this is
   // also what makes the degrade re-plan flip exactly once per fault.
   if (active_clusters_.load(std::memory_order_relaxed) != clusters_) return;
-  const std::uint64_t sig = kernels::layer_signature(spec);
   AdaptiveState* st;
   {
     std::lock_guard<std::mutex> lock(adaptive_mu_);
@@ -397,30 +381,12 @@ void ShardedBackend::prepare(const snn::Network& net) const {
   }
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     const snn::LayerSpec& spec = net.layer(l);
-    const kernels::LayerPlan& plan = plan_for(spec);
-    if (plan.axis == kernels::ShardAxis::kOutputChannel && plan.n() > 1) {
-      for (const kernels::ShardRange& r : plan.shards) {
-        shard_weights(net.weights(l), r.lo, r.hi);
-      }
-    }
+    const kernels::ShardAxis axis = plan_for(spec).axis;  // plans a miss
     if (replan_.enabled && !pipeline_.enabled) {
-      // Pre-create the adaptive bookkeeping (and the output-channel weight
-      // slices a later flip might need), so steady-state observation never
-      // builds map nodes and a flip to output-channel never copies weights
-      // on the hot path.
-      {
-        std::lock_guard<std::mutex> lock(adaptive_mu_);
-        adaptive_[kernels::layer_signature(spec)].axis = plan.axis;
-      }
-      if (plan.axis != kernels::ShardAxis::kOutputChannel && clusters_ > 1) {
-        const kernels::LayerPlan oc = partitioner_.make_axis_plan(
-            spec, kernels::ShardAxis::kOutputChannel);
-        if (oc.axis == kernels::ShardAxis::kOutputChannel && oc.n() > 1) {
-          for (const kernels::ShardRange& r : oc.shards) {
-            shard_weights(net.weights(l), r.lo, r.hi);
-          }
-        }
-      }
+      // Pre-create the adaptive bookkeeping, so steady-state observation
+      // never builds map nodes.
+      std::lock_guard<std::mutex> lock(adaptive_mu_);
+      adaptive_[kernels::layer_signature(spec)].axis = axis;
     }
   }
 }
@@ -468,50 +434,12 @@ void ShardedBackend::presize_state(snn::NetworkState& state,
   }
 }
 
-const snn::LayerWeights& ShardedBackend::shard_weights(
-    const snn::LayerWeights& w, int lo, int hi) const {
-  const WeightKey key{w.v.data(), w.v.size(), w.k, w.in_c, lo, hi};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = weight_cache_.find(key);
-  if (it != weight_cache_.end()) {
-    // Validate the hit: if the allocator reused this address for another
-    // network's weights, the boundary elements will not match and the entry
-    // is rebuilt below instead of served stale.
-    const snn::LayerWeights& c = it->second;
-    if (!c.v.empty() && c.v.front() == w.v[w.index(0, 0, 0, lo)] &&
-        c.v.back() == w.v[w.index(w.k - 1, w.k - 1, w.in_c - 1, hi - 1)]) {
-      return c;
-    }
-  }
-
-  snn::LayerWeights sub;
-  sub.k = w.k;
-  sub.in_c = w.in_c;
-  sub.out_c = hi - lo;
-  sub.v.reserve(w.v.size() / static_cast<std::size_t>(w.out_c) *
-                static_cast<std::size_t>(sub.out_c));
-  // Output channels are innermost, so each (kh, kw, ci) row contributes one
-  // contiguous run of `hi - lo` values.
-  for (int kh = 0; kh < w.k; ++kh) {
-    for (int kw = 0; kw < w.k; ++kw) {
-      for (int ci = 0; ci < w.in_c; ++ci) {
-        const std::size_t base = w.index(kh, kw, ci, lo);
-        sub.v.insert(sub.v.end(), w.v.begin() + static_cast<std::ptrdiff_t>(base),
-                     w.v.begin() + static_cast<std::ptrdiff_t>(base + sub.out_c));
-      }
-    }
-  }
-  // Keep the half-precision streaming path available on the slice.
-  if (w.half_exact) sub.build_half();
-  // std::map nodes are stable: the reference outlives the lock.
-  return weight_cache_.insert_or_assign(key, std::move(sub)).first->second;
-}
-
 bool ShardedBackend::pool_worthwhile(const snn::LayerSpec& spec) const {
-  // Output elements approximate the per-layer host work (functional pass +
-  // merge are both O(out elements)); below the cutoff the pool handoff and
-  // worker wakeups dominate, so the submitting thread runs the shards
-  // itself. Simulated timing still models `clusters_` parallel clusters.
+  // Output elements approximate a shard timing pass's host work (the spike
+  // slice and the group counts are both O(out elements)); below the cutoff
+  // the pool handoff and worker wakeups dominate, so the submitting thread
+  // runs the shards itself. Simulated timing still models `clusters_`
+  // parallel clusters.
   const double elems = static_cast<double>(spec.out_h()) * spec.out_w() *
                        static_cast<double>(spec.out_c);
   return elems >= static_cast<double>(min_work_);
@@ -533,16 +461,15 @@ void ShardedBackend::for_shards(
 // private DRAM channel: merge_parallel takes the max of the per-channel DMA
 // timelines (channels drain concurrently) and sums the row-hit/row-miss
 // activity counters, exactly like the other per-cluster activity.
-std::size_t ShardedBackend::merge_shard_stats(
-    const kernels::LayerScratch& scratch, std::size_t n,
-    kernels::LayerRun& merged, int base) const {
-  merged.out_nnz = 0;
+void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
+                                       std::size_t n,
+                                       kernels::LayerRun& merged,
+                                       int base) const {
   std::size_t slowest = 0;
   double slowest_eff = -1.0;
   double eff_max = 0.0;
   for (std::size_t s = 0; s < n; ++s) {
     const kernels::LayerRun& run = scratch.lanes[s].ks.run;
-    merged.out_nnz += run.out_nnz;
     if (s == 0) {
       merged.stats = run.stats;
     } else {
@@ -563,26 +490,18 @@ std::size_t ShardedBackend::merge_shard_stats(
   }
   if (eff_max > merged.stats.cycles) merged.stats.cycles = eff_max;
   merged.plan = scratch.lanes[slowest].ks.run.plan;
-  return slowest;
 }
 
-double ShardedBackend::merge_stripe_shards(const kernels::LayerPlan& plan,
-                                           const snn::LayerSpec& spec,
-                                           kernels::LayerScratch& scratch,
-                                           snn::Tensor& membrane,
-                                           kernels::LayerRun& merged,
-                                           int base) const {
-  merged.out_spikes.reshape(spec.out_h(), spec.out_w(), spec.out_c);
+double ShardedBackend::merge_stripe_shards(
+    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
+    const kernels::LayerScratch& scratch, kernels::LayerRun& merged,
+    int base) const {
   double gather_bytes = 0;
-  for (std::size_t s = 0; s < plan.n(); ++s) {
-    const kernels::ShardRange r = plan.shards[s];
-    unslice_rows(merged.out_spikes, scratch.lanes[s].ks.run.out_spikes, r.lo);
-    unslice_rows(membrane, scratch.lanes[s].membrane, r.lo);
-    if (s > 0) {
-      gather_bytes += static_cast<double>(
-          compress::CsrIfmap::footprint_from_count(
-              scratch.lanes[s].ks.run.out_nnz, r.extent(), spec.out_w()));
-    }
+  for (std::size_t s = 1; s < plan.n(); ++s) {
+    gather_bytes += static_cast<double>(
+        compress::CsrIfmap::footprint_from_count(
+            scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
+            spec.out_w()));
   }
   merge_shard_stats(scratch, plan.n(), merged, base);
   return gather_bytes;
@@ -635,24 +554,10 @@ void ShardedBackend::apply_noc(
   }
 }
 
-const ShardedBackend::StageInfo* ShardedBackend::stage_info_for(
-    const snn::LayerSpec& spec) const {
-  if (!pipeline_.enabled) return nullptr;
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  std::shared_lock<std::shared_mutex> lock(plan_mu_);
-  const auto it = stage_info_.find(sig);
-  return it == stage_info_.end() ? nullptr : &it->second;  // node-stable
-}
-
-int ShardedBackend::cluster_base(const snn::LayerSpec& spec) const {
-  const StageInfo* info = stage_info_for(spec);
-  return info != nullptr ? info->cluster_lo : 0;
-}
-
-void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
+void ShardedBackend::apply_stage_handoff(const StageInfo& stage,
+                                         const snn::LayerSpec& spec,
                                          kernels::LayerRun& run) const {
-  const StageInfo* info = stage_info_for(spec);
-  if (info == nullptr || !info->boundary) return;
+  if (!stage.boundary) return;
   // The producing group packs each boundary spike into the inter-stage FIFO
   // (integer-core work alongside the activation append), then the CSR
   // payload crosses the fabric to the consumer group's lead cluster.
@@ -664,8 +569,8 @@ void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
   const double bytes =
       static_cast<double>(compress::CsrIfmap::footprint_from_count(
           run.out_nnz, spec.out_h(), spec.out_w()));
-  const int src = info->cluster_lo + info->group - 1;
-  const int dst = info->next_cluster_lo;
+  const int src = stage.cluster_lo + stage.group - 1;
+  const int dst = stage.next_cluster_lo;
   apply_noc(run.stats, bytes, [&](arch::NocModel& m) {
     m.unicast(src, dst, bytes);
   });
@@ -677,30 +582,21 @@ void ShardedBackend::apply_stage_handoff(const snn::LayerSpec& spec,
 
 const kernels::LayerRun& ShardedBackend::run_channel_sharded(
     const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, snn::Tensor& membrane,
-    kernels::LayerScratch& scratch, double input_bytes,
-    common::FunctionRef<void(const snn::LayerSpec&, const snn::LayerWeights&,
-                             snn::Tensor&, kernels::KernelScratch&)>
-        kernel) const {
+    kernels::LayerScratch& scratch, double input_bytes, int base,
+    common::FunctionRef<void(const snn::LayerSpec&, kernels::KernelScratch&)>
+        time) const {
   const std::size_t n = plan.n();
   if (scratch.lanes.size() < n) scratch.lanes.resize(n);
+  kernels::LayerRun& merged = scratch.main.run;
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     const kernels::ShardRange r = plan.shards[s];
-    kernels::ShardLane& lane = scratch.lanes[s];
+    kernels::KernelScratch& ks = scratch.lanes[s].ks;
+    ks.run.out_nnz =
+        slice_channels_into(merged.out_spikes, r.lo, r.hi, ks.run.out_spikes);
     snn::LayerSpec sub = spec;
     sub.out_c = r.extent();
-    slice_channels_into(membrane, r.lo, r.hi, lane.membrane);
-    kernel(sub, shard_weights(weights, r.lo, r.hi), lane.membrane, lane.ks);
+    time(sub, ks);
   });
-
-  kernels::LayerRun& merged = scratch.main.run;
-  merged.out_spikes.reshape(spec.out_h(), spec.out_w(), spec.out_c);
-  for (std::size_t s = 0; s < n; ++s) {
-    unslice_channels(merged.out_spikes, scratch.lanes[s].ks.run.out_spikes,
-                     plan.shards[s].lo);
-    unslice_channels(membrane, scratch.lanes[s].membrane, plan.shards[s].lo);
-  }
-  const int base = cluster_base(spec);
   merge_shard_stats(scratch, n, merged, base);
 
   // The input is broadcast: every cluster beyond the owner receives a full
@@ -730,19 +626,20 @@ const kernels::LayerRun& ShardedBackend::run_channel_sharded(
 
 const kernels::LayerRun& ShardedBackend::run_stripe_conv(
     const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, const compress::CsrIfmap& ifmap,
-    snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
+    const compress::CsrIfmap& ifmap, kernels::LayerScratch& scratch,
+    int base) const {
   const std::size_t n = plan.n();
   if (scratch.lanes.size() < n) scratch.lanes.resize(n);
+  kernels::LayerRun& merged = scratch.main.run;
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     const kernels::ShardRange r = plan.shards[s];
     kernels::ShardLane& lane = scratch.lanes[s];
     snn::LayerSpec sub = spec;
     sub.in_h = r.extent() + spec.k - 1;  // halo'd input rows
     ifmap.slice_rows_into(r.lo, r.lo + sub.in_h, lane.csr);
-    slice_rows_into(membrane, r.lo, r.hi, lane.membrane);
-    kernels::run_conv_layer(sub, weights, lane.csr, lane.membrane, opt_,
-                            lane.ks);
+    lane.ks.run.out_nnz = slice_rows_into(merged.out_spikes, r.lo, r.hi,
+                                          lane.ks.run.out_spikes);
+    kernels::conv_timing(sub, lane.csr, opt_, lane.ks);
   });
 
   // Stripes need no broadcast: clusters exchange only the halo overlap (the
@@ -751,10 +648,8 @@ const kernels::LayerRun& ShardedBackend::run_stripe_conv(
   for (std::size_t s = 0; s < n; ++s) {
     halo_bytes += static_cast<double>(scratch.lanes[s].csr.footprint_bytes());
   }
-  kernels::LayerRun& merged = scratch.main.run;
-  const int base = cluster_base(spec);
   const double gather_bytes =
-      merge_stripe_shards(plan, spec, scratch, membrane, merged, base);
+      merge_stripe_shards(plan, spec, scratch, merged, base);
   const double halo = std::max(0.0, halo_bytes);
   apply_noc(merged.stats, halo + gather_bytes, [&](arch::NocModel& m) {
     // Halos flow between adjacent stripes: split the overlap traffic evenly
@@ -774,30 +669,27 @@ const kernels::LayerRun& ShardedBackend::run_stripe_conv(
 
 const kernels::LayerRun& ShardedBackend::run_stripe_encode(
     const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, const snn::Tensor& padded_image,
-    snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
+    kernels::LayerScratch& scratch, int base) const {
   const std::size_t n = plan.n();
   if (scratch.lanes.size() < n) scratch.lanes.resize(n);
   const double px_bytes = static_cast<double>(common::fp_bytes(opt_.fmt)) *
                           spec.in_w * spec.in_c;
+  kernels::LayerRun& merged = scratch.main.run;
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     const kernels::ShardRange r = plan.shards[s];
-    kernels::ShardLane& lane = scratch.lanes[s];
+    kernels::KernelScratch& ks = scratch.lanes[s].ks;
     snn::LayerSpec sub = spec;
     sub.in_h = r.extent() + spec.k - 1;
-    slice_rows_into(padded_image, r.lo, r.lo + sub.in_h, lane.input);
-    slice_rows_into(membrane, r.lo, r.hi, lane.membrane);
-    kernels::run_encode_layer(sub, weights, lane.input, lane.membrane, opt_,
-                              lane.ks);
+    ks.run.out_nnz =
+        slice_rows_into(merged.out_spikes, r.lo, r.hi, ks.run.out_spikes);
+    kernels::encode_timing(sub, opt_, ks);
   });
 
   // Dense image stripes: the halo is the (n - 1) * (k - 1) duplicated rows.
   const double halo_rows =
       static_cast<double>(n - 1) * static_cast<double>(spec.k - 1);
-  kernels::LayerRun& merged = scratch.main.run;
-  const int base = cluster_base(spec);
   const double gather_bytes =
-      merge_stripe_shards(plan, spec, scratch, membrane, merged, base);
+      merge_stripe_shards(plan, spec, scratch, merged, base);
   apply_noc(merged.stats, halo_rows * px_bytes + gather_bytes,
             [&](arch::NocModel& m) {
               // (k - 1) image rows duplicated per neighbor pair, plus the
@@ -824,12 +716,11 @@ const kernels::LayerRun& ShardedBackend::run_stripe_encode(
 
 const kernels::LayerRun& ShardedBackend::run_fc_fanin(
     const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const snn::LayerWeights& weights, const compress::CsrIfmap& ifmap,
-    snn::Tensor& membrane, kernels::LayerScratch& scratch) const {
-  // Partial-sum merges are not FP-associative, so the functional pass runs
-  // unsharded — spikes are bit-exact by construction. Only timing is split.
-  kernels::fc_functional(spec, weights, ifmap, membrane, scratch.main);
-
+    const compress::CsrIfmap& ifmap, kernels::LayerScratch& scratch,
+    int base) const {
+  // Only timing is split: the full-width functional pass already ran, and
+  // partial-sum merges are not FP-associative, so this axis could never
+  // have sharded it.
   const std::size_t n = plan.n();
   if (scratch.lanes.size() < n) scratch.lanes.resize(n);
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
@@ -839,10 +730,7 @@ const kernels::LayerRun& ShardedBackend::run_fc_fanin(
   });
 
   kernels::LayerRun& merged = scratch.main.run;
-  const std::size_t out_nnz = merged.out_nnz;  // from the functional pass
-  const int base = cluster_base(spec);
   merge_shard_stats(scratch, n, merged, base);
-  merged.out_nnz = out_nnz;
 
   // Sequential tail: partial vectors cross the NoC to the merging cluster,
   // are reduced group-wise, then thresholded exactly once. The inputs were
@@ -872,31 +760,37 @@ const kernels::LayerRun& ShardedBackend::run_conv(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  observe_density(spec, ifmap.nnz(),
+  const std::uint64_t sig = kernels::layer_signature(spec);
+  observe_density(sig, spec, ifmap.nnz(),
                   static_cast<std::size_t>(spec.in_h) * spec.in_w *
                       static_cast<std::size_t>(spec.in_c));
-  const auto plan_ref = plan_handle(spec);  // pinned for this run
+  StageInfo stage;
+  const auto plan_ref = plan_handle(sig, spec, &stage);  // pinned for this run
   const kernels::LayerPlan& plan = *plan_ref;
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
+  // Spikes from one full-width pass, tiled on the shard pool when threads
+  // are on (the tile rule keeps tiny layers at one tile, off the pool).
+  const LayerLane lane{.ifmap = &ifmap, .membrane = &membrane,
+                       .scratch = &scratch};
+  functional_row_tiles(spec, weights, std::span(&lane, 1),
+                       threads_ ? pool_.get() : nullptr);
   // Every path below lands its merged result in scratch.main.run, so the
   // stage-boundary handoff (no-op outside stage mode) tails all of them.
   if (plan.n() <= 1) {
-    kernels::run_conv_layer(spec, weights, ifmap, membrane, opt_,
-                            scratch.main);
+    kernels::conv_timing(spec, ifmap, opt_, scratch.main);
   } else if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
-    run_stripe_conv(plan, spec, weights, ifmap, membrane, scratch);
+    run_stripe_conv(plan, spec, ifmap, scratch, stage.cluster_lo);
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "conv " << spec.name << ": unsupported shard axis");
     run_channel_sharded(
-        plan, spec, weights, membrane, scratch,
-        static_cast<double>(ifmap.footprint_bytes()),
-        [&](const snn::LayerSpec& sub, const snn::LayerWeights& w,
-            snn::Tensor& m, kernels::KernelScratch& ks) {
-          kernels::run_conv_layer(sub, w, ifmap, m, opt_, ks);
+        plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
+        stage.cluster_lo,
+        [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
+          kernels::conv_timing(sub, ifmap, opt_, ks);
         });
   }
-  apply_stage_handoff(spec, scratch.main.run);
+  apply_stage_handoff(stage, spec, scratch.main.run);
   return scratch.main.run;
 }
 
@@ -904,26 +798,28 @@ const kernels::LayerRun& ShardedBackend::run_fc(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  observe_density(spec, ifmap.nnz(), static_cast<std::size_t>(spec.in_c));
-  const auto plan_ref = plan_handle(spec);  // pinned for this run
+  const std::uint64_t sig = kernels::layer_signature(spec);
+  observe_density(sig, spec, ifmap.nnz(), static_cast<std::size_t>(spec.in_c));
+  StageInfo stage;
+  const auto plan_ref = plan_handle(sig, spec, &stage);  // pinned for this run
   const kernels::LayerPlan& plan = *plan_ref;
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
+  kernels::fc_functional(spec, weights, ifmap, membrane, scratch.main);
   if (plan.n() <= 1) {
-    kernels::run_fc_layer(spec, weights, ifmap, membrane, opt_, scratch.main);
+    kernels::fc_timing(spec, ifmap, opt_, scratch.main);
   } else if (plan.axis == kernels::ShardAxis::kFanIn) {
-    run_fc_fanin(plan, spec, weights, ifmap, membrane, scratch);
+    run_fc_fanin(plan, spec, ifmap, scratch, stage.cluster_lo);
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "fc " << spec.name << ": unsupported shard axis");
     run_channel_sharded(
-        plan, spec, weights, membrane, scratch,
-        static_cast<double>(ifmap.footprint_bytes()),
-        [&](const snn::LayerSpec& sub, const snn::LayerWeights& w,
-            snn::Tensor& m, kernels::KernelScratch& ks) {
-          kernels::run_fc_layer(sub, w, ifmap, m, opt_, ks);
+        plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
+        stage.cluster_lo,
+        [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
+          kernels::fc_timing(sub, ifmap, opt_, ks);
         });
   }
-  apply_stage_handoff(spec, scratch.main.run);
+  apply_stage_handoff(stage, spec, scratch.main.run);
   return scratch.main.run;
 }
 
@@ -933,14 +829,19 @@ const kernels::LayerRun& ShardedBackend::run_encode(
     kernels::LayerScratch& scratch) const {
   // The encode layer's dense input has density 1.0 by construction; there is
   // nothing for the occupancy re-planner to observe.
-  const auto plan_ref = plan_handle(spec);
+  StageInfo stage;
+  const auto plan_ref =
+      plan_handle(kernels::layer_signature(spec), spec, &stage);
   const kernels::LayerPlan& plan = *plan_ref;
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
+  const LayerLane lane{.membrane = &membrane, .scratch = &scratch,
+                       .image = &padded_image};
+  functional_row_tiles(spec, weights, std::span(&lane, 1),
+                       threads_ ? pool_.get() : nullptr);
   if (plan.n() <= 1) {
-    kernels::run_encode_layer(spec, weights, padded_image, membrane, opt_,
-                              scratch.main);
+    kernels::encode_timing(spec, opt_, scratch.main);
   } else if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
-    run_stripe_encode(plan, spec, weights, padded_image, membrane, scratch);
+    run_stripe_encode(plan, spec, scratch, stage.cluster_lo);
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "encode " << spec.name << ": unsupported shard axis");
@@ -948,13 +849,12 @@ const kernels::LayerRun& ShardedBackend::run_encode(
         static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
         spec.in_w * spec.in_c;
     run_channel_sharded(
-        plan, spec, weights, membrane, scratch, image_bytes,
-        [&](const snn::LayerSpec& sub, const snn::LayerWeights& w,
-            snn::Tensor& m, kernels::KernelScratch& ks) {
-          kernels::run_encode_layer(sub, w, padded_image, m, opt_, ks);
+        plan, spec, scratch, image_bytes, stage.cluster_lo,
+        [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
+          kernels::encode_timing(sub, opt_, ks);
         });
   }
-  apply_stage_handoff(spec, scratch.main.run);
+  apply_stage_handoff(stage, spec, scratch.main.run);
   return scratch.main.run;
 }
 

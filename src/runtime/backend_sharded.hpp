@@ -2,19 +2,19 @@
 // (kernels/partition.hpp): each layer executes according to an immutable
 // LayerPlan — output-channel tiles, spatial ifmap stripes, or FC fan-in
 // segments — computed once per network (cost-model-driven for the hybrid
-// strategy) and cached by layer signature. Shards run on the persistent
-// WorkerPool (shared with BatchRunner when the engine provides one), in
-// per-cluster ShardLanes of the borrowed LayerScratch, so steady-state shard
-// fan-out performs zero heap allocations in both serial and pooled mode.
+// strategy) and cached by layer signature.
 //
-// Spikes are bit-identical to a single-cluster run for every plan:
-//  * output-channel tiles and row stripes compute each output neuron with its
-//    complete fan-in in the reference accumulation order (disjoint slices,
-//    merge = concatenation);
-//  * fan-in segments would need a non-associative partial-sum merge, so their
-//    *functional* pass runs unsharded and only the timing pass is split —
-//    each cluster is charged for streaming its input-channel band, plus an
-//    explicit partial-reduction tail on the merging cluster.
+// Spikes come from one full-width functional pass per layer — conv and
+// encode layers as the analytical backend's row tiles (functional_row_tiles,
+// on the persistent WorkerPool), FC layers as one fc_functional call — so
+// they are the unsharded layer's spikes for every plan by construction.
+// Shards carry timing only: each cluster's timing pass runs on its own view
+// of the result (an output-channel tile sees its channel slice of the
+// spikes, a stripe its halo'd CSR row slice and its output rows, a fan-in
+// segment its input-channel band plus an explicit partial-reduction tail on
+// the merging cluster). Shards run on the same pool in per-cluster
+// ShardLanes of the borrowed LayerScratch, so steady-state execution
+// performs zero heap allocations in both serial and pooled mode.
 //
 // Per-cluster KernelStats merge with wall-clock = max and activity = sum;
 // inter-cluster traffic (broadcast replicas, stripe halos, ofmap gathers,
@@ -29,7 +29,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -46,8 +45,9 @@ class ShardedBackend : public ExecutionBackend {
   /// `pool` = null creates a private pool sized for `clusters` (when
   /// `use_threads`); passing the engine's pool shares one set of threads
   /// between shard fan-out and batch-sample fan-out. Layers with fewer
-  /// output elements than `min_work` run their shards on the submitting
-  /// thread even in pooled mode (host-side cutoff, bit-identical results).
+  /// output elements than `min_work` run their shard timing passes on the
+  /// submitting thread even in pooled mode (host-side cutoff, bit-identical
+  /// results).
   ShardedBackend(const kernels::RunOptions& opt, int clusters,
                  bool use_threads = true,
                  kernels::PartitionStrategy strategy =
@@ -77,9 +77,9 @@ class ShardedBackend : public ExecutionBackend {
     return pipeline_.enabled && stage_plan_.num_stages() > 1;
   }
 
-  /// Plan every layer and prebuild the output-channel weight slices, so the
-  /// plans live alongside the quantized weights from construction on and the
-  /// first run already executes allocation-light.
+  /// Plan every layer, so the plans live alongside the quantized weights
+  /// from construction on and the first run already executes
+  /// allocation-light.
   void prepare(const snn::Network& net) const override;
   /// One shard lane per planned cluster in every layer's scratch.
   void presize_state(snn::NetworkState& state,
@@ -161,17 +161,20 @@ class ShardedBackend : public ExecutionBackend {
   }
 
  private:
-  /// One entry per (weight tensor, channel range): the strided copy of the
-  /// weight slice a cluster owns. Cached because weights are immutable for
-  /// the lifetime of the engine that drives this backend. Hits are validated
-  /// against the source (boundary elements), so an allocator reusing a freed
-  /// weight vector's address for a different network cannot serve a stale
-  /// slice — the entry is recomputed in place instead.
-  const snn::LayerWeights& shard_weights(const snn::LayerWeights& w, int lo,
-                                         int hi) const;
+  /// Per-layer stage assignment, filled by prepare() in stage mode. Keyed by
+  /// layer signature like the plan cache. A default value — stage 0 on
+  /// cluster 0, no boundary — is what every layer outside stage mode gets.
+  struct StageInfo {
+    int stage = 0;
+    int cluster_lo = 0;  ///< first cluster of the owning group
+    int group = 1;       ///< group width the layer's plan was sized for
+    bool boundary = false;       ///< last layer of a non-final stage
+    int next_cluster_lo = 0;     ///< consumer group's lead cluster
+  };
 
-  /// True when `spec` is big enough for pool fan-out to beat its handoff
-  /// overhead (the per-shard minimum-work cutoff).
+  /// True when `spec` is big enough for pool fan-out of its shard timing
+  /// passes to beat the handoff overhead (the per-shard minimum-work
+  /// cutoff).
   bool pool_worthwhile(const snn::LayerSpec& spec) const;
 
   /// Run `fn(shard_index)` for every shard — on the pool when `pooled`,
@@ -179,23 +182,19 @@ class ShardedBackend : public ExecutionBackend {
   void for_shards(std::size_t n, bool pooled,
                   common::FunctionRef<void(std::size_t)> fn) const;
 
-  /// Merge per-shard stats into `merged` (wall-clock max / activity sum),
-  /// keep the slowest shard's DMA plan, and sum out_nnz. `base` is the first
-  /// cluster slot the shards run on: a slot with an injected slowdown has
-  /// its shard's wall-clock scaled by the straggler factor before the max.
-  /// Returns the index of the slowest shard.
-  std::size_t merge_shard_stats(const kernels::LayerScratch& scratch,
-                                std::size_t n, kernels::LayerRun& merged,
-                                int base) const;
+  /// Merge per-shard stats into `merged` (wall-clock max / activity sum) and
+  /// keep the slowest shard's DMA plan. `base` is the first cluster slot the
+  /// shards run on: a slot with an injected slowdown has its shard's
+  /// wall-clock scaled by the straggler factor before the max.
+  void merge_shard_stats(const kernels::LayerScratch& scratch, std::size_t n,
+                         kernels::LayerRun& merged, int base) const;
 
-  /// Shared row-stripe merge (conv + encode): scatter spike/membrane row
-  /// bands back, merge stats, return the ofmap gather traffic of shards
-  /// 1..n-1.
+  /// Shared row-stripe merge (conv + encode): merge stats, return the ofmap
+  /// gather traffic of shards 1..n-1.
   double merge_stripe_shards(const kernels::LayerPlan& plan,
                              const snn::LayerSpec& spec,
-                             kernels::LayerScratch& scratch,
-                             snn::Tensor& membrane, kernels::LayerRun& merged,
-                             int base) const;
+                             const kernels::LayerScratch& scratch,
+                             kernels::LayerRun& merged, int base) const;
 
   /// Record inter-cluster traffic and, with contention modeling on, let the
   /// fabric gate the layer's wall-clock (the raise is itemized in
@@ -213,52 +212,50 @@ class ShardedBackend : public ExecutionBackend {
   /// packing its output spikes into the inter-stage FIFO and for the handoff
   /// crossing to the consumer group's lead cluster. No-op outside stage mode
   /// (historical runs are bit-exact).
-  void apply_stage_handoff(const snn::LayerSpec& spec,
+  void apply_stage_handoff(const StageInfo& stage, const snn::LayerSpec& spec,
                            kernels::LayerRun& run) const;
 
-  /// Output-channel tiling: shard the layer along SIMD-aligned channel
-  /// ranges, broadcast the input, run `kernel` per shard, concatenate.
+  // Per-plan timing passes. Each runs after the full-width functional pass
+  // has written the layer's spikes and out_nnz into scratch.main.run, times
+  // every shard on its view of them, merges the shard stats into
+  // scratch.main.run and charges the plan's NoC traffic. `base` is the
+  // first cluster of the group executing the layer (0 outside stage mode).
+
+  /// Output-channel tiling: every shard sees its SIMD-aligned channel slice
+  /// of the spikes and runs `time` on it; the input is broadcast.
   /// `input_bytes` is one cluster's copy of the layer input (for the NoC
   /// broadcast charge).
   const kernels::LayerRun& run_channel_sharded(
       const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-      const snn::LayerWeights& weights, snn::Tensor& membrane,
-      kernels::LayerScratch& scratch, double input_bytes,
-      common::FunctionRef<void(const snn::LayerSpec&, const snn::LayerWeights&,
-                               snn::Tensor&, kernels::KernelScratch&)>
-          kernel) const;
+      kernels::LayerScratch& scratch, double input_bytes, int base,
+      common::FunctionRef<void(const snn::LayerSpec&, kernels::KernelScratch&)>
+          time) const;
 
   const kernels::LayerRun& run_stripe_conv(const kernels::LayerPlan& plan,
                                            const snn::LayerSpec& spec,
-                                           const snn::LayerWeights& weights,
                                            const compress::CsrIfmap& ifmap,
-                                           snn::Tensor& membrane,
-                                           kernels::LayerScratch& scratch)
-      const;
+                                           kernels::LayerScratch& scratch,
+                                           int base) const;
   const kernels::LayerRun& run_stripe_encode(const kernels::LayerPlan& plan,
                                              const snn::LayerSpec& spec,
-                                             const snn::LayerWeights& weights,
-                                             const snn::Tensor& padded_image,
-                                             snn::Tensor& membrane,
-                                             kernels::LayerScratch& scratch)
-      const;
+                                             kernels::LayerScratch& scratch,
+                                             int base) const;
   const kernels::LayerRun& run_fc_fanin(const kernels::LayerPlan& plan,
                                         const snn::LayerSpec& spec,
-                                        const snn::LayerWeights& weights,
                                         const compress::CsrIfmap& ifmap,
-                                        snn::Tensor& membrane,
-                                        kernels::LayerScratch& scratch) const;
+                                        kernels::LayerScratch& scratch,
+                                        int base) const;
 
-  /// Cache key: source identity plus shape, so only an allocation reused at
-  /// the same address *and* shape can collide (then caught by validation).
-  using WeightKey = std::tuple<const float*, std::size_t, int, int, int, int>;
-
-  /// Current plan by copyable handle: the dispatch path pins the plan it
-  /// executes with for the whole layer run, so the adaptive re-planner can
-  /// swap in a new plan concurrently without invalidating in-flight shards
-  /// (copy-on-write — the old plan lives until its last holder drops it).
+  /// Current plan of the layer with signature `sig` by copyable handle: the
+  /// dispatch path pins the plan it executes with for the whole layer run,
+  /// so the adaptive re-planner can swap in a new plan concurrently without
+  /// invalidating in-flight shards (copy-on-write — the old plan lives until
+  /// its last holder drops it). A non-null `stage` receives a copy of the
+  /// layer's stage assignment, read under the same shared lock: a copy,
+  /// because a concurrent fail_cluster rebuilds stage_info_.
   std::shared_ptr<const kernels::LayerPlan> plan_handle(
-      const snn::LayerSpec& spec) const;
+      std::uint64_t sig, const snn::LayerSpec& spec,
+      StageInfo* stage = nullptr) const;
 
   /// Adaptive re-planning bookkeeping of one layer. The mutex serializes
   /// EMA updates from concurrent batch workers; the replan decision itself
@@ -276,8 +273,8 @@ class ShardedBackend : public ExecutionBackend {
   /// axes once the warmup window has passed; swaps the cached plan (and
   /// counts a flip) when the candidate clears the hysteresis margin. No-op
   /// unless replan_.enabled.
-  void observe_density(const snn::LayerSpec& spec, std::size_t in_nnz,
-                       std::size_t in_elems) const;
+  void observe_density(std::uint64_t sig, const snn::LayerSpec& spec,
+                       std::size_t in_nnz, std::size_t in_elems) const;
 
   double initial_plan_density() const;
 
@@ -300,24 +297,6 @@ class ShardedBackend : public ExecutionBackend {
         std::memory_order_relaxed);
   }
 
-  /// Per-layer stage assignment, filled by prepare() in stage mode. Keyed by
-  /// layer signature like the plan cache; read-only after prepare.
-  struct StageInfo {
-    int stage = 0;
-    int cluster_lo = 0;  ///< first cluster of the owning group
-    int group = 1;       ///< group width the layer's plan was sized for
-    bool boundary = false;       ///< last layer of a non-final stage
-    int next_cluster_lo = 0;     ///< consumer group's lead cluster
-  };
-
-  /// This layer's stage assignment, or null outside stage mode / for layers
-  /// the prepared network did not contain (they run at the full cluster
-  /// count, exactly like an unknown signature in the plan cache).
-  const StageInfo* stage_info_for(const snn::LayerSpec& spec) const;
-  /// First cluster of the group executing `spec` (0 outside stage mode) —
-  /// anchors link-level NoC charges at the group's real ring position.
-  int cluster_base(const snn::LayerSpec& spec) const;
-
   int clusters_;
   bool threads_;
   int min_work_;  ///< output elements below which fan-out stays serial
@@ -326,13 +305,11 @@ class ShardedBackend : public ExecutionBackend {
   kernels::ReplanConfig replan_;
   kernels::PipelineConfig pipeline_;
   /// Stage assignment of the prepared network (stage mode only). Written
-  /// once under plan_mu_ by prepare(); map nodes are stable, so post-prepare
-  /// readers hold only the shared lock.
+  /// under plan_mu_ by prepare() and by degraded re-planning; layer calls
+  /// copy their entry out under the shared lock (plan_handle).
   mutable kernels::StagePlan stage_plan_;
   mutable std::map<std::uint64_t, StageInfo> stage_info_;
   std::shared_ptr<WorkerPool> pool_;
-  mutable std::mutex mu_;
-  mutable std::map<WeightKey, snn::LayerWeights> weight_cache_;
   /// Reader-writer lock: after prepare() the plan cache is read-only on the
   /// hot path (one shared acquisition per layer dispatch); the exclusive
   /// side only runs for specs never planned before — or for a re-plan swap.

@@ -16,12 +16,15 @@
 //     corrupted under every mode.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "runtime/backend_sharded.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/integrity.hpp"
 #include "runtime/multistep.hpp"
@@ -210,6 +213,99 @@ TEST(IntegrityPrimitives, FlipsAreInvolutiveAndSealsCatchThem) {
   EXPECT_STREQ(rt::seal_point_name(rt::SealPoint::kHandoff), "handoff");
   EXPECT_STREQ(rt::fault_kind_name(rt::FaultKind::kWeightBitFlip),
                "weight-bit-flip");
+}
+
+namespace {
+
+/// Flip the exponent MSB of weight element `i` in the representation the
+/// kernels stream (flip_weight_bit keeps the other one consistent). A small
+/// weight grows by 2^16 (binary16) or 2^128 (float32), so any input that
+/// reaches it changes the layer's currents.
+void flip_weight_exponent(snn::LayerWeights& w, std::size_t i) {
+  const bool half = w.half_exact && !w.half.empty();
+  rt::flip_weight_bit(w, half ? i * 16 + 14 : i * 32 + 30);
+}
+
+}  // namespace
+
+TEST(IntegrityPrimitives, WeightFlipReachesShardedChannelShards) {
+  // Fault injectors flip weights in InferenceEngine::mutable_weights. Every
+  // backend must compute from those live weights: an output-channel shard
+  // that read a private copy of its channel slice would miss a flip, and
+  // the sharded backend would then disagree with the analytical one.
+  const snn::Network net = test_net();
+  const k::RunOptions opt;
+  rt::BackendConfig pooled = sharded(4);
+  pooled.shard_threads = true;
+  pooled.shard_min_work = 0;  // every layer fans its shards out on the pool
+  rt::InferenceEngine analytical(net, opt);
+  rt::InferenceEngine serial(net, opt, sharded(4));
+  rt::InferenceEngine threaded(net, opt, pooled);
+  const auto* be = dynamic_cast<const rt::ShardedBackend*>(&serial.backend());
+  ASSERT_NE(be, nullptr);
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    const k::LayerPlan& plan = be->plan_for(net.layer(l));
+    ASSERT_EQ(plan.axis, k::ShardAxis::kOutputChannel) << "layer " << l;
+    ASSERT_GT(plan.n(), 1u) << "layer " << l;
+  }
+
+  // Every layer's spikes at each of three timesteps, then every membrane.
+  const auto img = snn::make_batch(1, 33, 16, 16, 3)[0];
+  auto trace = [&](const rt::InferenceEngine& e) {
+    snn::NetworkState st = e.make_state();
+    std::vector<std::uint8_t> spikes;
+    std::vector<float> membranes;
+    for (int t = 0; t < 3; ++t) {
+      e.run(img, st);
+      for (std::size_t l = 0; l < net.num_layers(); ++l) {
+        const auto& v = st.scratch(l).main.run.out_spikes.v;
+        spikes.insert(spikes.end(), v.begin(), v.end());
+      }
+    }
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      const auto& v = st.membrane(l).v;
+      membranes.insert(membranes.end(), v.begin(), v.end());
+    }
+    return std::make_pair(spikes, membranes);
+  };
+  const auto clean = trace(analytical);
+  ASSERT_EQ(trace(serial), clean);
+  ASSERT_EQ(trace(threaded), clean);
+
+  // Mid-slice elements of output channels 5 (encode, FC: slices [0, 8) and
+  // [4, 8)) and 13 (conv: slice [8, 16)) — never a slice's first or last
+  // element. The conv and FC flips cover many input channels, so some of
+  // them meet a spike.
+  struct Flips {
+    std::size_t layer;
+    int co;
+    int ci_step;
+  };
+  for (const Flips f : {Flips{0, 5, 1}, Flips{1, 13, 1}, Flips{2, 5, 61}}) {
+    const snn::LayerWeights& w = net.weights(f.layer);
+    std::vector<std::size_t> elems;
+    for (int ci = 1; ci + 1 < w.in_c; ci += f.ci_step) {
+      elems.push_back(w.index(w.k / 2, w.k / 2, ci, f.co));
+    }
+    auto flip_all = [&] {
+      for (rt::InferenceEngine* e : {&analytical, &serial, &threaded}) {
+        snn::LayerWeights& live = e->mutable_weights(f.layer);
+        for (const std::size_t i : elems) flip_weight_exponent(live, i);
+      }
+    };
+    flip_all();
+    for (const std::size_t i : elems) {
+      ASSERT_TRUE(std::isfinite(analytical.mutable_weights(f.layer).v[i]));
+    }
+    const auto flipped = trace(analytical);
+    EXPECT_NE(flipped, clean) << "layer " << f.layer << ": flip not visible";
+    EXPECT_EQ(trace(serial), flipped) << "serial sharded, layer " << f.layer;
+    EXPECT_EQ(trace(threaded), flipped) << "pooled sharded, layer " << f.layer;
+    flip_all();  // involutive: restores the clean weights
+    EXPECT_EQ(trace(analytical), clean) << "layer " << f.layer;
+    EXPECT_EQ(trace(serial), clean) << "serial sharded, layer " << f.layer;
+    EXPECT_EQ(trace(threaded), clean) << "pooled sharded, layer " << f.layer;
+  }
 }
 
 namespace {

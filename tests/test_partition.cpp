@@ -15,12 +15,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/noc.hpp"
 #include "common/rng.hpp"
+#include "compress/csr_ifmap.hpp"
+#include "kernels/layer_kernels.hpp"
 #include "kernels/partition.hpp"
 #include "runtime/backend_sharded.hpp"
 #include "runtime/stage_pipeline.hpp"
@@ -260,6 +267,265 @@ TEST(PartitionConservation, FanInReductionIsItemizedExactly) {
   // disjoint — no broadcast).
   const double fp_bytes = sc::fp_bytes(opt.fmt);
   EXPECT_NEAR(s.noc_bytes, (n - 1) * net.layer(l).out_c * fp_bytes, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Per-shard timing against a per-shard kernel oracle
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Output channels [lo, hi) of a weight tensor as a compact tensor, with the
+/// binary16 image the kernels stream when the source has one.
+snn::LayerWeights weight_channels(const snn::LayerWeights& w, int lo, int hi) {
+  snn::LayerWeights sub;
+  sub.k = w.k;
+  sub.in_c = w.in_c;
+  sub.out_c = hi - lo;
+  for (int kh = 0; kh < w.k; ++kh) {
+    for (int kw = 0; kw < w.k; ++kw) {
+      for (int ci = 0; ci < w.in_c; ++ci) {
+        for (int co = lo; co < hi; ++co) sub.v.push_back(w.at(kh, kw, ci, co));
+      }
+    }
+  }
+  if (w.half_exact) sub.build_half();
+  return sub;
+}
+
+template <typename T>
+snn::Hwc<T> channels_of(const snn::Hwc<T>& t, int lo, int hi) {
+  snn::Hwc<T> out(t.h, t.w, hi - lo);
+  for (int y = 0; y < t.h; ++y) {
+    for (int x = 0; x < t.w; ++x) {
+      for (int c = lo; c < hi; ++c) out.at(y, x, c - lo) = t.at(y, x, c);
+    }
+  }
+  return out;
+}
+
+template <typename T>
+void put_channels(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
+  for (int y = 0; y < part.h; ++y) {
+    for (int x = 0; x < part.w; ++x) {
+      for (int c = 0; c < part.c; ++c) full.at(y, x, lo + c) = part.at(y, x, c);
+    }
+  }
+}
+
+template <typename T>
+snn::Hwc<T> rows_of(const snn::Hwc<T>& t, int lo, int hi) {
+  snn::Hwc<T> out(hi - lo, t.w, t.c);
+  for (int y = lo; y < hi; ++y) {
+    for (int x = 0; x < t.w; ++x) {
+      for (int c = 0; c < t.c; ++c) out.at(y - lo, x, c) = t.at(y, x, c);
+    }
+  }
+  return out;
+}
+
+template <typename T>
+void put_rows(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
+  for (int y = 0; y < part.h; ++y) {
+    for (int x = 0; x < part.w; ++x) {
+      for (int c = 0; c < part.c; ++c) full.at(lo + y, x, c) = part.at(y, x, c);
+    }
+  }
+}
+
+/// Every KernelStats field, compared by bit pattern.
+void expect_stats_identical(const k::KernelStats& got,
+                            const k::KernelStats& want,
+                            const std::string& where) {
+  using F = double k::KernelStats::*;
+  static const std::pair<const char*, F> kFields[] = {
+      {"cycles", &k::KernelStats::cycles},
+      {"compute_cycles", &k::KernelStats::compute_cycles},
+      {"dma_cycles", &k::KernelStats::dma_cycles},
+      {"fpu_ops", &k::KernelStats::fpu_ops},
+      {"fpu_mac_ops", &k::KernelStats::fpu_mac_ops},
+      {"int_instrs", &k::KernelStats::int_instrs},
+      {"tcdm_words", &k::KernelStats::tcdm_words},
+      {"ssr_elems", &k::KernelStats::ssr_elems},
+      {"dma_bytes", &k::KernelStats::dma_bytes},
+      {"dma_saved_bytes", &k::KernelStats::dma_saved_bytes},
+      {"dma_bytes_spill", &k::KernelStats::dma_bytes_spill},
+      {"noc_bytes", &k::KernelStats::noc_bytes},
+      {"dma_row_hits", &k::KernelStats::dma_row_hits},
+      {"dma_row_misses", &k::KernelStats::dma_row_misses},
+      {"dma_cycles_hidden", &k::KernelStats::dma_cycles_hidden},
+      {"noc_contention_cycles", &k::KernelStats::noc_contention_cycles},
+      {"fifo_stall_cycles", &k::KernelStats::fifo_stall_cycles},
+      {"ecc_words", &k::KernelStats::ecc_words},
+      {"ecc_corrected", &k::KernelStats::ecc_corrected},
+      {"ecc_uncorrectable", &k::KernelStats::ecc_uncorrectable},
+      {"ecc_cycles", &k::KernelStats::ecc_cycles},
+  };
+  for (const auto& [name, field] : kFields) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.*field),
+              std::bit_cast<std::uint64_t>(want.*field))
+        << where << " " << name << ": " << got.*field << " vs "
+        << want.*field;
+  }
+  EXPECT_EQ(got.active_cores, want.active_cores) << where;
+  ASSERT_EQ(got.core_cycles.size(), want.core_cycles.size()) << where;
+  for (std::size_t c = 0; c < got.core_cycles.size(); ++c) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.core_cycles[c]),
+              std::bit_cast<std::uint64_t>(want.core_cycles[c]))
+        << where << " core_cycles[" << c << "]";
+  }
+}
+
+/// Run layer `l` of `net` through a 4-cluster sharded backend for three
+/// timesteps (fresh random input each, membrane carried) and check every
+/// shard's timing pass against an oracle that runs the whole kernel on the
+/// shard's own sub-problem: sliced weights and membrane for output-channel
+/// tiles, halo'd CSR or image rows and a membrane row band for stripes, the
+/// fan-in shard timing after one full-width functional pass for fan-in.
+void check_shards_against_oracle(const snn::Network& net, std::size_t l,
+                                 k::PartitionStrategy strategy,
+                                 k::ShardAxis axis, bool pooled) {
+  const k::RunOptions opt;
+  const snn::LayerSpec& spec = net.layer(l);
+  const snn::LayerWeights& w = net.weights(l);
+  const std::string where = spec.name + " " +
+                            k::partition_strategy_name(strategy) +
+                            (pooled ? " pooled" : " serial");
+  const rt::ShardedBackend be(
+      opt, 4, pooled, strategy, {},
+      pooled ? std::make_shared<rt::WorkerPool>(3) : nullptr, /*min_work=*/0);
+  const k::LayerPlan plan = be.plan_for(spec);
+  ASSERT_EQ(plan.axis, axis) << where;
+  const std::size_t n = plan.n();
+  ASSERT_GT(n, 1u) << where;
+  std::vector<snn::LayerWeights> w_slices;
+  if (axis == k::ShardAxis::kOutputChannel) {
+    for (const k::ShardRange& r : plan.shards) {
+      w_slices.push_back(weight_channels(w, r.lo, r.hi));
+    }
+  }
+
+  k::LayerScratch scratch;
+  snn::Tensor membrane(spec.out_h(), spec.out_w(), spec.out_c);
+  snn::Tensor oracle_membrane = membrane;
+  std::vector<k::KernelScratch> oracle(n);
+  k::KernelScratch full;
+  sc::Rng rng(17 + l);
+  std::size_t fired = 0;
+  for (int t = 0; t < 3; ++t) {
+    const std::string at = where + " t=" + std::to_string(t);
+    snn::Tensor image;
+    spikestream::compress::CsrIfmap ifmap;
+    const k::LayerRun* run = nullptr;
+    if (spec.kind == snn::LayerKind::kEncodeConv) {
+      image = snn::Tensor(spec.in_h, spec.in_w, spec.in_c);
+      for (float& v : image.v) v = static_cast<float>(rng.uniform());
+      run = &be.run_encode(spec, w, image, membrane, scratch);
+    } else {
+      snn::SpikeMap in(spec.in_h, spec.in_w, spec.in_c);
+      for (auto& b : in.v) b = rng.bernoulli(0.2);
+      spikestream::compress::CsrIfmap::encode_into(in, ifmap);
+      run = spec.kind == snn::LayerKind::kConv
+                ? &be.run_conv(spec, w, ifmap, membrane, scratch)
+                : &be.run_fc(spec, w, ifmap, membrane, scratch);
+    }
+
+    snn::SpikeMap oracle_spikes(spec.out_h(), spec.out_w(), spec.out_c);
+    if (axis == k::ShardAxis::kFanIn) {
+      k::fc_functional(spec, w, ifmap, oracle_membrane, full);
+      oracle_spikes = full.run.out_spikes;
+    }
+    k::KernelStats merged;
+    for (std::size_t s = 0; s < n; ++s) {
+      const k::ShardRange r = plan.shards[s];
+      snn::LayerSpec sub = spec;
+      k::KernelScratch& ks = oracle[s];
+      if (axis == k::ShardAxis::kOutputChannel) {
+        sub.out_c = r.extent();
+        snn::Tensor m = channels_of(oracle_membrane, r.lo, r.hi);
+        if (spec.kind == snn::LayerKind::kEncodeConv) {
+          k::run_encode_layer(sub, w_slices[s], image, m, opt, ks);
+        } else if (spec.kind == snn::LayerKind::kConv) {
+          k::run_conv_layer(sub, w_slices[s], ifmap, m, opt, ks);
+        } else {
+          k::run_fc_layer(sub, w_slices[s], ifmap, m, opt, ks);
+        }
+        put_channels(oracle_membrane, m, r.lo);
+        put_channels(oracle_spikes, ks.run.out_spikes, r.lo);
+      } else if (axis == k::ShardAxis::kIfmapStripe) {
+        sub.in_h = r.extent() + spec.k - 1;
+        snn::Tensor m = rows_of(oracle_membrane, r.lo, r.hi);
+        if (spec.kind == snn::LayerKind::kEncodeConv) {
+          k::run_encode_layer(sub, w, rows_of(image, r.lo, r.lo + sub.in_h),
+                              m, opt, ks);
+        } else {
+          spikestream::compress::CsrIfmap stripe;
+          ifmap.slice_rows_into(r.lo, r.lo + sub.in_h, stripe);
+          k::run_conv_layer(sub, w, stripe, m, opt, ks);
+        }
+        put_rows(oracle_membrane, m, r.lo);
+        put_rows(oracle_spikes, ks.run.out_spikes, r.lo);
+      } else {
+        k::fc_fanin_shard_timing(spec, ifmap, r.lo, r.hi, opt, ks);
+      }
+      expect_stats_identical(scratch.lanes[s].ks.run.stats, ks.run.stats,
+                             at + " shard " + std::to_string(s));
+      if (s == 0) {
+        merged = ks.run.stats;
+      } else {
+        merged.merge_parallel(ks.run.stats);
+      }
+    }
+    if (axis == k::ShardAxis::kFanIn) {
+      // The merging cluster's reduction and activation tail.
+      const k::FcFanInMergeCost tail = k::fc_fanin_merge_cost(
+          spec, oracle_spikes, static_cast<int>(n), opt);
+      merged.compute_cycles += tail.cycles;
+      merged.cycles += tail.cycles;
+      merged.fpu_ops += tail.fpu_ops;
+      merged.int_instrs += tail.int_instrs;
+      merged.tcdm_words += tail.tcdm_words;
+    }
+    // NoC traffic is charged on top of the merge (the NocModel tests pin
+    // it); every other field is the shards' merge.
+    k::KernelStats got = run->stats;
+    EXPECT_GT(got.noc_bytes, 0.0) << at;
+    got.noc_bytes = merged.noc_bytes;
+    expect_stats_identical(got, merged, at + " merged");
+    EXPECT_EQ(run->out_spikes.v, oracle_spikes.v) << at;
+    EXPECT_EQ(run->out_nnz, snn::spike_count(oracle_spikes)) << at;
+    EXPECT_EQ(membrane.v, oracle_membrane.v) << at;
+    fired += run->out_nnz;
+  }
+  EXPECT_GT(fired, 0u) << where << ": no spikes to time";
+}
+
+}  // namespace
+
+TEST(PartitionTiming, EveryShardMatchesItsKernelOracle) {
+  // Shards time their view of one full-width functional pass. Each view
+  // must be exactly what the shard would see computing its own
+  // sub-problem, so every shard's stats match a per-shard kernel run bit
+  // for bit, in every build (both sides use the same arithmetic).
+  snn::Network net = test_net();
+  net.quantize_weights(k::RunOptions{}.fmt);
+  using A = k::ShardAxis;
+  using P = k::PartitionStrategy;
+  struct Case {
+    std::size_t layer;  // 0 encode, 1 conv, 2 fc
+    P strategy;
+    A axis;
+  };
+  for (const Case c : {Case{0, P::kOutputChannel, A::kOutputChannel},
+                       Case{1, P::kOutputChannel, A::kOutputChannel},
+                       Case{2, P::kOutputChannel, A::kOutputChannel},
+                       Case{0, P::kIfmapStripe, A::kIfmapStripe},
+                       Case{1, P::kIfmapStripe, A::kIfmapStripe},
+                       Case{2, P::kIfmapStripe, A::kFanIn}}) {
+    for (const bool pooled : {false, true}) {
+      check_shards_against_oracle(net, c.layer, c.strategy, c.axis, pooled);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
