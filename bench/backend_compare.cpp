@@ -128,7 +128,7 @@ int main() {
     u.set_header({"layer", "hybrid axis", "shards", "kcyc oc", "kcyc hybrid",
                   "util oc", "util hybrid", "noc KB"});
     for (std::size_t l = 0; l < net.num_layers(); ++l) {
-      const k::LayerPlan& plan = be->plan_for(net.layer(l));
+      const k::LayerPlan plan = be->plan_for(net.layer(l));
       u.add_row({net.layer(l).name, k::shard_axis_name(plan.axis),
                  std::to_string(plan.n()),
                  sc::Table::num(ro.layers[l].stats.cycles / 1e3, 2),
@@ -315,51 +315,6 @@ int main() {
                 wsame ? "yes" : "NO (BUG)");
   }
 
-  // --- occupancy-adaptive re-planning at 8 clusters -------------------------
-  // The static hybrid plan freezes each layer's shard axis at an assumed
-  // density; the adaptive backend starts from the cold-start density (empty
-  // membranes), then re-picks the axis from the measured occupancy EMA after
-  // warmup (fc8 flips output-channel -> fan-in exactly once).
-  {
-    rt::BackendConfig stat = sharded_cfg(8, k::PartitionStrategy::kHybrid);
-    rt::BackendConfig adap = stat;
-    adap.replan.enabled = true;
-    const rt::InferenceEngine es(net, opt, stat);
-    const rt::InferenceEngine ea(net, opt, adap);
-    snn::NetworkState ss = es.make_state();
-    snn::NetworkState sa = ea.make_state();
-    rt::InferenceResult rs, ra;
-    const int steps = 5;
-    std::vector<double> fc_static(net.num_layers(), 0.0);
-    std::vector<double> fc_adapt(net.num_layers(), 0.0);
-    double tot_s = 0, tot_a = 0;
-    for (int t = 0; t < steps; ++t) {
-      es.run(img, ss, rs);
-      ea.run(img, sa, ra);
-      for (std::size_t l = 0; l < net.num_layers(); ++l) {
-        fc_static[l] += rs.layers[l].stats.cycles;
-        fc_adapt[l] += ra.layers[l].stats.cycles;
-      }
-      tot_s += rs.total_cycles;
-      tot_a += ra.total_cycles;
-    }
-    const auto* be = dynamic_cast<const rt::ShardedBackend*>(&ea.backend());
-    sc::Table r("occupancy-adaptive re-planning at 8 clusters (" +
-                std::to_string(steps) + " timesteps, cold start)");
-    r.set_header({"layer", "static kcyc", "adaptive kcyc", "axis", "flips",
-                  "density ema"});
-    for (std::size_t l = 0; l < net.num_layers(); ++l) {
-      r.add_row({net.layer(l).name, sc::Table::num(fc_static[l] / 1e3, 2),
-                 sc::Table::num(fc_adapt[l] / 1e3, 2),
-                 k::shard_axis_name(be->active_axis(net.layer(l))),
-                 std::to_string(be->replan_flips(net.layer(l))),
-                 sc::Table::num(be->occupancy_ema(net.layer(l)), 3)});
-    }
-    r.print();
-    std::printf("  network total: static %.1f kcyc, adaptive %.1f kcyc\n",
-                tot_s / 1e3, tot_a / 1e3);
-  }
-
   // --- stage-parallel cluster pipeline on the deep tower --------------------
   // Contiguous layer ranges on disjoint cluster groups, coupled by finite
   // spike FIFOs.
@@ -391,15 +346,16 @@ int main() {
 
     const auto* be = dynamic_cast<const rt::ShardedBackend*>(&eng.backend());
     if (be != nullptr && be->stage_parallel_active()) {
+      const k::StagePlan sp = be->stage_plan();
       const rt::StageTimeline tl = rt::simulate_stage_pipeline(
-          be->stage_plan(), tower, tbatch, be->pipeline_config());
+          sp, tower, tbatch, be->pipeline_config());
       sc::Table s("deep tower, stage pipeline at 8 clusters (" +
-                  std::string(k::exec_mode_name(be->stage_plan().mode)) +
+                  std::string(k::exec_mode_name(sp.mode)) +
                   ", batch 8, kcycles)");
       s.set_header({"stage", "layers", "clusters", "service", "fifo stall",
                     "idle", "peak fifo", "handoff B"});
       for (std::size_t i = 0; i < tl.stages.size(); ++i) {
-        const auto& plan_st = be->stage_plan().stages[i];
+        const auto& plan_st = sp.stages[i];
         const auto& tr = tl.stages[i];
         s.add_row({std::to_string(i),
                    std::to_string(plan_st.layer_lo) + ".." +

@@ -13,30 +13,10 @@ namespace {
 
 int n_groups(int channels, int simd) { return (channels + simd - 1) / simd; }
 
-/// Largest extent of the even `s * count / active` split the range builders
-/// use, computed without materializing the ranges (the adaptive re-planner
-/// calls the estimates on the hot path and must not allocate).
-int max_even_split_extent(int count, int active) {
-  active = std::max(1, std::min(active, count));
+/// Widest shard of a range split (0 when the split is empty).
+int max_extent(const std::vector<ShardRange>& shards) {
   int worst = 0;
-  for (int s = 0; s < active; ++s) {
-    worst = std::max(worst, (s + 1) * count / active - s * count / active);
-  }
-  return worst;
-}
-
-/// max_extent of channel_slices(channels, simd, clusters), allocation-free:
-/// slices are even splits of the SIMD-group space, with the last one capped
-/// to the channel count.
-int max_channel_slice_extent(int channels, int simd, int clusters) {
-  const int groups = n_groups(channels, simd);
-  const int active = std::min(clusters, groups);
-  int worst = 0;
-  for (int s = 0; s < active; ++s) {
-    const int lo = (s * groups / active) * simd;
-    const int hi = std::min(((s + 1) * groups / active) * simd, channels);
-    worst = std::max(worst, hi - lo);
-  }
+  for (const ShardRange& r : shards) worst = std::max(worst, r.extent());
   return worst;
 }
 
@@ -165,12 +145,13 @@ std::vector<ShardRange> Partitioner::fanin_segments(int in_c, int simd,
   return channel_slices(in_c, simd, clusters);
 }
 
-double Partitioner::estimate_output_channel(const snn::LayerSpec& spec,
-                                            double density) const {
+double Partitioner::estimate_output_channel(
+    const snn::LayerSpec& spec) const {
+  const double density = kDefaultDensity;
   const CostParams& p = opt_.cost;
   const int simd = common::simd_lanes(opt_.fmt);
-  const int worst_groups = n_groups(
-      max_channel_slice_extent(spec.out_c, simd, clusters_), simd);
+  const int worst_groups =
+      n_groups(max_extent(channel_slices(spec.out_c, simd, clusters_)), simd);
   if (spec.kind == snn::LayerKind::kFc) {
     const double nnz = density * spec.in_c;
     const double fp8_act = activation_cycles(
@@ -189,14 +170,14 @@ double Partitioner::estimate_output_channel(const snn::LayerSpec& spec,
          p.icache_layer_warmup;
 }
 
-double Partitioner::estimate_ifmap_stripe(const snn::LayerSpec& spec,
-                                          double density) const {
+double Partitioner::estimate_ifmap_stripe(const snn::LayerSpec& spec) const {
   SPK_CHECK(spec.kind != snn::LayerKind::kFc,
             "ifmap stripes need spatial rows; FC layers use fan-in segments");
+  const double density = kDefaultDensity;
   const CostParams& p = opt_.cost;
   const int simd = common::simd_lanes(opt_.fmt);
   const double worst_positions =
-      static_cast<double>(max_even_split_extent(spec.out_h(), clusters_)) *
+      static_cast<double>(max_extent(row_stripes(spec.out_h(), clusters_))) *
       spec.out_w();
   const int groups = n_groups(spec.out_c, simd);
   return worst_positions * position_cost(spec, opt_, groups, density) /
@@ -204,15 +185,15 @@ double Partitioner::estimate_ifmap_stripe(const snn::LayerSpec& spec,
          p.icache_layer_warmup;
 }
 
-double Partitioner::estimate_fanin(const snn::LayerSpec& spec,
-                                   double density) const {
+double Partitioner::estimate_fanin(const snn::LayerSpec& spec) const {
   SPK_CHECK(spec.kind == snn::LayerKind::kFc,
             "fan-in segmentation is an FC strategy");
+  const double density = kDefaultDensity;
   const CostParams& p = opt_.cost;
   const int simd = common::simd_lanes(opt_.fmt);
   const double nnz_shard =
       density * static_cast<double>(
-                    max_channel_slice_extent(spec.in_c, simd, clusters_));
+                    max_extent(fanin_segments(spec.in_c, simd, clusters_)));
   const int groups = n_groups(spec.out_c, simd);
   const double rounds =
       std::ceil(static_cast<double>(groups) / std::max(1, opt_.cores));
@@ -236,15 +217,15 @@ double Partitioner::estimate_fanin(const snn::LayerSpec& spec,
   return accumulate + reduce + act + p.icache_layer_warmup;
 }
 
-double Partitioner::estimate_axis(const snn::LayerSpec& spec, ShardAxis axis,
-                                  double density) const {
+double Partitioner::estimate_axis(const snn::LayerSpec& spec,
+                                  ShardAxis axis) const {
   switch (axis) {
     case ShardAxis::kOutputChannel:
-      return estimate_output_channel(spec, density);
+      return estimate_output_channel(spec);
     case ShardAxis::kIfmapStripe:
-      return estimate_ifmap_stripe(spec, density);
+      return estimate_ifmap_stripe(spec);
     case ShardAxis::kFanIn:
-      return estimate_fanin(spec, density);
+      return estimate_fanin(spec);
   }
   return 0.0;
 }
@@ -276,8 +257,7 @@ LayerPlan Partitioner::make_axis_plan(const snn::LayerSpec& spec,
   return plan;
 }
 
-LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec,
-                                  double density) const {
+LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec) const {
   const bool fc = spec.kind == snn::LayerKind::kFc;
   if (clusters_ <= 1) {
     LayerPlan plan;
@@ -294,8 +274,8 @@ LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec,
     case PartitionStrategy::kHybrid:
       break;
   }
-  const double oc = estimate_output_channel(spec, density);
-  const double alt = estimate_axis(spec, alt_axis, density);
+  const double oc = estimate_output_channel(spec);
+  const double alt = estimate_axis(spec, alt_axis);
   // Prefer the historical axis unless the alternative is clearly ahead:
   // output-channel tiles conserve activity exactly and need no halo or
   // reduction bookkeeping, so a marginal estimate should not flip them.
@@ -316,10 +296,9 @@ LayerPlan Partitioner::plan_layer(const snn::LayerSpec& spec,
 // Stage-parallel pipeline planning
 // ---------------------------------------------------------------------------
 
-double Partitioner::layer_cost(const snn::LayerSpec& spec, int group,
-                               double density) const {
+double Partitioner::layer_cost(const snn::LayerSpec& spec, int group) const {
   const Partitioner sub(opt_, std::max(1, group), strategy_);
-  const double oc = sub.estimate_output_channel(spec, density);
+  const double oc = sub.estimate_output_channel(spec);
   if (group <= 1) return oc;
   const ShardAxis alt_axis = spec.kind == snn::LayerKind::kFc
                                  ? ShardAxis::kFanIn
@@ -328,13 +307,13 @@ double Partitioner::layer_cost(const snn::LayerSpec& spec, int group,
     case PartitionStrategy::kOutputChannel:
       return oc;
     case PartitionStrategy::kIfmapStripe:
-      return sub.estimate_axis(spec, alt_axis, density);
+      return sub.estimate_axis(spec, alt_axis);
     case PartitionStrategy::kHybrid:
       break;
   }
   // Mirror plan_layer's hysteresis so the stage estimate prices the axis a
   // group-sized partitioner would actually execute with.
-  const double alt = sub.estimate_axis(spec, alt_axis, density);
+  const double alt = sub.estimate_axis(spec, alt_axis);
   return alt < 0.95 * oc ? alt : oc;
 }
 
@@ -372,18 +351,13 @@ HandoffEstimate estimate_handoff(const snn::LayerSpec& spec,
 
 StagePlan Partitioner::plan_pipeline(const snn::Network& net,
                                      const PipelineConfig& cfg,
-                                     const arch::NocParams& noc,
-                                     double density) const {
-  SPK_CHECK(net.num_layers() > 0, "pipeline planning needs at least one layer");
-  // Network stores its specs contiguously; plan over them directly.
-  return plan_pipeline(std::span(&net.layer(0), net.num_layers()), cfg, noc,
-                       density);
+                                     const arch::NocParams& noc) const {
+  return plan_pipeline(net.layers(), cfg, noc);
 }
 
 StagePlan Partitioner::plan_pipeline(std::span<const snn::LayerSpec> layers,
                                      const PipelineConfig& cfg,
-                                     const arch::NocParams& noc,
-                                     double density) const {
+                                     const arch::NocParams& noc) const {
   const int L = static_cast<int>(layers.size());
   SPK_CHECK(L > 0, "pipeline planning needs at least one layer");
   const int C = clusters_;
@@ -397,11 +371,11 @@ StagePlan Partitioner::plan_pipeline(std::span<const snn::LayerSpec> layers,
     cost[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(C) + 1);
     for (int g = 1; g <= C; ++g) {
       cost[static_cast<std::size_t>(l)][static_cast<std::size_t>(g)] =
-          layer_cost(layers[static_cast<std::size_t>(l)], g, density);
+          layer_cost(layers[static_cast<std::size_t>(l)], g);
     }
     handoff[static_cast<std::size_t>(l)] =
         estimate_handoff(layers[static_cast<std::size_t>(l)], opt_, noc,
-                         density);
+                         kDefaultDensity);
   }
   const double dp_total = [&] {
     double t = 0;

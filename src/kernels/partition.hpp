@@ -21,9 +21,10 @@
 //    model with an assumed planning density (occupancies are unknown at plan
 //    time; plans are computed once per network at engine construction).
 //
-// A LayerPlan is immutable once computed; backends key it by layer signature
-// and size their per-shard scratch lanes from it so steady-state shard
-// fan-out allocates nothing.
+// A LayerPlan is a value, immutable once computed: the sharded backend keeps
+// every prepared layer's plan in one immutable epoch indexed by layer
+// signature, and sizes its per-shard scratch lanes from it so steady-state
+// shard fan-out allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -69,39 +70,7 @@ struct LayerPlan {
   std::size_t n() const { return shards.size(); }
 };
 
-/// Occupancy-adaptive re-planning (ShardedBackend): partition plans are
-/// normally frozen at an assumed planning density, but real per-layer
-/// occupancies drift — fc8's first, nearly-empty timestep prefers
-/// output-channel tiles while its charged-up steady state prefers fan-in
-/// segments. With re-planning enabled the backend tracks a per-layer
-/// occupancy EMA and, once `warmup_runs` executions have seeded it, re-ranks
-/// the shard axes at the *measured* density after every run; a flip only
-/// happens when the candidate axis beats the current one by the hysteresis
-/// margin, so plans cannot oscillate around a break-even density.
-struct ReplanConfig {
-  bool enabled = false;
-  /// Layer *executions* before the EMA is considered seeded — note this
-  /// counts every lane's run, not timesteps: a B-lane batch produces B
-  /// observations per timestep, so scale it by the lane count when the
-  /// warmup should span the near-empty leading timesteps of a batched
-  /// stream. Seeding purely from cold observations is benign (the initial
-  /// plan is already cold-optimal, so the re-rank keeps it), but the one
-  /// intended flip then waits on the EMA crossing the break-even, not on
-  /// this window.
-  int warmup_runs = 2;
-  /// EMA smoothing factor for the measured input density.
-  double ema_alpha = 0.25;
-  /// A candidate axis must beat the current axis's estimated cycles by this
-  /// factor (est_new < hysteresis * est_current) to trigger a plan swap.
-  double hysteresis = 0.95;
-  /// Planning density of the *initial* plans: membranes start empty, so the
-  /// leading timesteps run far below the steady-state densities the static
-  /// planner assumes. Re-planning then upgrades the plan once the measured
-  /// EMA is trusted.
-  double cold_density = 0.02;
-};
-
-/// FNV-1a over a layer's name + geometry: the key plan caches use.
+/// FNV-1a over a layer's name + geometry: the key plan epochs index by.
 /// Layers with equal signatures partition (and cost) identically.
 std::uint64_t layer_signature(const snn::LayerSpec& spec);
 
@@ -192,16 +161,9 @@ class Partitioner {
   PartitionStrategy strategy() const { return strategy_; }
   int clusters() const { return clusters_; }
 
-  /// Plan one layer at `density` (the hybrid strategy ranks axes with it;
-  /// the fixed strategies ignore it).
-  LayerPlan plan_layer(const snn::LayerSpec& spec,
-                       double density = kDefaultDensity) const;
-
-  /// Build the plan for a specific shard axis (occupancy-adaptive
-  /// re-planning swaps axes explicitly instead of re-ranking through a
-  /// strategy). Falls back to a single output-channel shard when the axis
-  /// degenerates for this layer, exactly like plan_layer.
-  LayerPlan make_axis_plan(const snn::LayerSpec& spec, ShardAxis axis) const;
+  /// Plan one layer (the hybrid strategy ranks axes at kDefaultDensity;
+  /// the fixed strategies need no estimate).
+  LayerPlan plan_layer(const snn::LayerSpec& spec) const;
 
   // --- shard range builders (exposed for tests) -----------------------------
 
@@ -216,32 +178,6 @@ class Partitioner {
   static std::vector<ShardRange> fanin_segments(int in_c, int simd,
                                                 int clusters);
 
-  // --- planning-time cost queries (exposed for tests / benches) -------------
-  // Estimated layer cycles on `clusters()` clusters at planning density
-  // `density`, using the mechanistic cost-model constants. These rank axes;
-  // they are not predictions of any particular input's cycle count. All
-  // three are allocation-free (shard extents are computed arithmetically,
-  // no range vectors are built), so the adaptive re-planner can re-rank
-  // axes on the steady-state hot path without touching the heap.
-
-  double estimate_output_channel(const snn::LayerSpec& spec,
-                                 double density = kDefaultDensity) const;
-  double estimate_ifmap_stripe(const snn::LayerSpec& spec,
-                               double density = kDefaultDensity) const;
-  double estimate_fanin(const snn::LayerSpec& spec,
-                        double density = kDefaultDensity) const;
-
-  /// Estimated cycles of `axis` for this layer at `density` (dispatch over
-  /// the three estimates above).
-  double estimate_axis(const snn::LayerSpec& spec, ShardAxis axis,
-                       double density) const;
-
-  /// Estimated per-sample cycles of `spec` sharded across a `group`-cluster
-  /// stage under this partitioner's strategy (the axis a group-sized
-  /// partitioner would execute with). Allocation-free.
-  double layer_cost(const snn::LayerSpec& spec, int group,
-                    double density = kDefaultDensity) const;
-
   /// Choose between data-parallel sharding, stage-parallel pipelining and a
   /// hybrid for `net`: balance contiguous layer ranges across candidate
   /// stage counts (DP minimizing the max stage service, boundary handoffs
@@ -249,19 +185,34 @@ class Partitioner {
   /// amortized over cfg.batch_lanes in-flight samples. cfg.mode != kAuto
   /// restricts the candidates to that mode's shape.
   StagePlan plan_pipeline(const snn::Network& net, const PipelineConfig& cfg,
-                          const arch::NocParams& noc,
-                          double density = kDefaultDensity) const;
+                          const arch::NocParams& noc) const;
 
-  /// Same planning over a bare layer list. Degraded-mode re-planning uses
-  /// this: the sharded backend keeps the prepared specs (not the Network)
-  /// and re-balances the stage pipeline over the surviving cluster count
-  /// after a fail-stop.
+  /// Same planning over a bare layer list (the sharded backend plans its
+  /// epochs from the prepared specs, not the Network).
   StagePlan plan_pipeline(std::span<const snn::LayerSpec> layers,
                           const PipelineConfig& cfg,
-                          const arch::NocParams& noc,
-                          double density = kDefaultDensity) const;
+                          const arch::NocParams& noc) const;
 
  private:
+  // Planning-time cost queries: estimated layer cycles on `clusters()`
+  // clusters at kDefaultDensity, from the mechanistic cost-model constants.
+  // These rank axes; they are not predictions of any particular input's
+  // cycle count.
+  double estimate_output_channel(const snn::LayerSpec& spec) const;
+  double estimate_ifmap_stripe(const snn::LayerSpec& spec) const;
+  double estimate_fanin(const snn::LayerSpec& spec) const;
+  /// Dispatch over the three estimates above.
+  double estimate_axis(const snn::LayerSpec& spec, ShardAxis axis) const;
+
+  /// Estimated per-sample cycles of `spec` sharded across a `group`-cluster
+  /// stage under this partitioner's strategy (the axis a group-sized
+  /// partitioner would execute with).
+  double layer_cost(const snn::LayerSpec& spec, int group) const;
+
+  /// The plan for one shard axis. Falls back to a single output-channel
+  /// shard when the axis degenerates for this layer.
+  LayerPlan make_axis_plan(const snn::LayerSpec& spec, ShardAxis axis) const;
+
   RunOptions opt_;
   int clusters_;
   PartitionStrategy strategy_;

@@ -231,7 +231,7 @@ std::unique_ptr<ExecutionBackend> make_backend(
     case BackendKind::kSharded:
       return std::make_unique<ShardedBackend>(
           opt, cfg.clusters, cfg.shard_threads, cfg.partition, cfg.noc,
-          std::move(pool), cfg.shard_min_work, cfg.replan, cfg.pipeline);
+          std::move(pool), cfg.shard_min_work, cfg.pipeline);
   }
   SPK_CHECK(false, "unknown backend kind");
   return nullptr;

@@ -13,10 +13,12 @@
 //
 // All backends compute bit-identical spikes (they share one functional pass
 // contract); they differ only in the timing/energy attribution. Backends are
-// immutable after construction and safe to share across threads — per-sample
-// state (membranes AND the scratch arenas every run borrows) lives in
-// snn::NetworkState; a kernels::LayerScratch is threaded through each call so
-// steady-state execution allocates nothing. Every layer run times its own
+// immutable after construction and safe to share across threads (the sharded
+// backend's plans are one immutable epoch that prepare() and its fault calls
+// replace whole, never edit) — per-sample state (membranes AND the scratch
+// arenas every run borrows) lives in snn::NetworkState; a
+// kernels::LayerScratch is threaded through each call so steady-state
+// execution allocates nothing. Every layer run times its own
 // spikes exactly, so modeled cycles are a pure function of the layer and its
 // input, independent of execution order.
 #pragma once
@@ -50,7 +52,9 @@ const char* backend_name(BackendKind k);
 
 struct BackendConfig {
   BackendKind kind = BackendKind::kAnalytical;
-  /// ShardedBackend: number of simulated clusters a layer is split across.
+  /// ShardedBackend: number of simulated clusters a layer is split across,
+  /// in [1, arch::NocModel::kMaxClusters] (the constructor throws
+  /// otherwise).
   int clusters = 4;
   /// ShardedBackend: run the per-cluster shards on the persistent worker
   /// pool (false = deterministic serial loop, useful for debugging; results
@@ -61,7 +65,8 @@ struct BackendConfig {
   /// thread even in pooled mode — for small layers the pool handoff and
   /// worker wakeups cost more host time than the shard work itself (the
   /// sharded-4 regression in BENCH_host.json). Modeled timing and spikes
-  /// are bit-identical either way; only host wall-clock changes.
+  /// are bit-identical either way; only host wall-clock changes. Must be
+  /// >= 0.
   int shard_min_work = 32 * 1024;
   /// ShardedBackend: how layers are split across clusters (see
   /// kernels/partition.hpp). The default reproduces the historical
@@ -72,20 +77,11 @@ struct BackendConfig {
   /// counted (KernelStats::noc_bytes, priced by the energy model); enabling
   /// `noc.model_contention` additionally lets it gate layer wall-clock.
   arch::NocParams noc;
-  /// ShardedBackend: occupancy-adaptive re-planning (see
-  /// kernels::ReplanConfig). Initial plans assume the cold-start density;
-  /// after the warmup window the measured per-layer occupancy EMA re-ranks
-  /// the shard axes and swaps a layer's plan when the better axis clears
-  /// the hysteresis margin. Off by default: re-planning makes modeled
-  /// cycles depend on the density history the backend has observed, which
-  /// the exact-mode parity tests forbid.
-  kernels::ReplanConfig replan;
   /// ShardedBackend: stage-parallel pipelining (see kernels::PipelineConfig).
   /// When enabled, prepare() partitions the network's layers into pipeline
   /// stages over cluster groups (or keeps one data-parallel stage when that
   /// costs less), prices each layer at its group width and charges the
   /// boundary FIFO handoffs. Off by default (historical behavior, bit-exact).
-  /// Enabling it disables occupancy-adaptive re-planning.
   kernels::PipelineConfig pipeline;
   /// CycleAccurateBackend: SpVAs per ISS calibration run (larger = tighter
   /// amortization of the microkernel prologue, slower calibration).
@@ -111,9 +107,9 @@ class ExecutionBackend {
 
   /// Called once per engine construction with the quantized network: lets a
   /// backend precompute per-layer state (the sharded backend plans every
-  /// layer's shards here, so partition choices are made once per network,
-  /// not per run). Must be idempotent and thread-safe; the default does
-  /// nothing.
+  /// layer's shards here and publishes them as its plan epoch, so partition
+  /// choices are made once per network, not per run). Must be idempotent
+  /// and thread-safe; the default does nothing.
   virtual void prepare(const snn::Network& net) const { (void)net; }
 
   /// Pre-size the per-layer scratch arenas of a freshly built NetworkState

@@ -46,31 +46,26 @@ ShardedBackend::ShardedBackend(const kernels::RunOptions& opt, int clusters,
                                kernels::PartitionStrategy strategy,
                                const arch::NocParams& noc,
                                std::shared_ptr<WorkerPool> pool, int min_work,
-                               const kernels::ReplanConfig& replan,
                                const kernels::PipelineConfig& pipeline)
     : ExecutionBackend(opt),
-      clusters_(std::max(1, clusters)),
+      clusters_(clusters),
       threads_(use_threads),
-      min_work_(std::max(0, min_work)),
-      partitioner_(opt, std::max(1, clusters), strategy),
+      min_work_(min_work),
+      strategy_(strategy),
       noc_(noc),
-      replan_(replan),
       pipeline_(pipeline),
       pool_(std::move(pool)) {
+  SPK_CHECK(clusters >= 1 && clusters <= arch::NocModel::kMaxClusters,
+            "BackendConfig::clusters must be in [1, "
+                << arch::NocModel::kMaxClusters << "], got " << clusters);
+  SPK_CHECK(min_work >= 0,
+            "BackendConfig::shard_min_work must be >= 0, got " << min_work);
   if (threads_ && pool_ == nullptr) {
     pool_ = std::make_shared<WorkerPool>(clusters_ - 1);
   }
-  active_clusters_.store(clusters_, std::memory_order_relaxed);
-  for (auto& s : slowdown_) s.store(1.0, std::memory_order_relaxed);
-  for (auto& d : link_derate_) d.store(1.0, std::memory_order_relaxed);
-}
-
-double ShardedBackend::initial_plan_density() const {
-  // Adaptive mode plans for the cold start (membranes are empty, the first
-  // timesteps run far below steady-state density); the measured EMA upgrades
-  // the plan after warmup. Static mode keeps the historical assumption.
-  return replan_.enabled ? replan_.cold_density
-                         : kernels::Partitioner::kDefaultDensity;
+  NetworkPlan healthy;
+  healthy.width = clusters_;
+  publish(std::move(healthy));
 }
 
 std::vector<std::pair<int, int>> ShardedBackend::slices(int out_c) const {
@@ -83,354 +78,135 @@ std::vector<std::pair<int, int>> ShardedBackend::slices(int out_c) const {
   return sl;
 }
 
-std::shared_ptr<const kernels::LayerPlan> ShardedBackend::plan_handle(
-    std::uint64_t sig, const snn::LayerSpec& spec, StageInfo* stage) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(plan_mu_);
-    if (stage != nullptr) {
-      const auto st = stage_info_.find(sig);  // empty outside stage mode
-      if (st != stage_info_.end()) *stage = st->second;
+// ---------------------------------------------------------------------------
+// Plan epochs
+// ---------------------------------------------------------------------------
+
+ShardedBackend::NetworkPlan ShardedBackend::plan_network(
+    std::span<const snn::LayerSpec> specs, int width) const {
+  NetworkPlan ep;
+  ep.specs.assign(specs.begin(), specs.end());
+  ep.width = width;
+  if (pipeline_.enabled && clusters_ > 1 && !specs.empty()) {
+    // Choose the execution mode (data-parallel vs stage-parallel vs hybrid)
+    // at the active width and plan every member layer at its stage's group
+    // width, so layer calls execute group-sized plans with no further
+    // stage-awareness.
+    ep.stage_plan = kernels::Partitioner(opt_, width, strategy_)
+                        .plan_pipeline(specs, pipeline_, noc_);
+    const std::vector<kernels::PipelineStage>& stages = ep.stage_plan.stages;
+    for (std::size_t s = 0; s < stages.size(); ++s) {
+      const kernels::PipelineStage& st = stages[s];
+      const kernels::Partitioner group(opt_, st.clusters(), strategy_);
+      for (int l = st.layer_lo; l < st.layer_hi; ++l) {
+        const snn::LayerSpec& spec = specs[static_cast<std::size_t>(l)];
+        const bool boundary = s + 1 < stages.size() && l == st.layer_hi - 1;
+        ep.layers[kernels::layer_signature(spec)] = {
+            group.plan_layer(spec),
+            {.stage = static_cast<int>(s),
+             .cluster_lo = st.cluster_lo,
+             .group = st.clusters(),
+             .boundary = boundary,
+             .next_cluster_lo = boundary ? stages[s + 1].cluster_lo : 0}};
+      }
     }
-    const auto it = plans_.find(sig);
-    if (it != plans_.end()) return it->second;
+    return ep;
   }
-  std::unique_lock<std::shared_mutex> lock(plan_mu_);
-  const auto it = plans_.find(sig);  // re-check: another writer may have won
-  if (it != plans_.end()) return it->second;
-  // Cold miss: plan at the *active* width, so a layer first seen after a
-  // fail-stop never lands shards on a failed cluster. Healthy runs take the
-  // member partitioner (no construction on the common path). Only layers
-  // outside the prepared network miss, so none has a stage assignment.
-  const int width = active_clusters_.load(std::memory_order_relaxed);
-  kernels::LayerPlan plan =
-      width == clusters_
-          ? partitioner_.plan_layer(spec, initial_plan_density())
-          : kernels::Partitioner(opt_, width, partitioner_.strategy())
-                .plan_layer(spec, initial_plan_density());
-  return plans_
-      .emplace(sig, std::make_shared<const kernels::LayerPlan>(std::move(plan)))
-      .first->second;
-}
-
-const kernels::LayerPlan& ShardedBackend::plan_for(
-    const snn::LayerSpec& spec) const {
-  // The handle keeps the plan's refcount in the cache; the reference stays
-  // valid until a re-plan swap replaces it (see the header note).
-  return *plan_handle(kernels::layer_signature(spec), spec);
-}
-
-void ShardedBackend::observe_density(std::uint64_t sig,
-                                     const snn::LayerSpec& spec,
-                                     std::size_t in_nnz,
-                                     std::size_t in_elems) const {
-  // Stage mode freezes plans at the stage grouping prepare() chose: an
-  // adaptive axis flip would re-plan the layer at the *full* cluster count
-  // and silently widen a stage's group, so re-planning is disabled whenever
-  // the pipeline is armed.
-  if (pipeline_.enabled) return;
-  if (!replan_.enabled || clusters_ <= 1 || in_elems == 0) return;
-  // Degraded mode freezes occupancy-adaptive re-planning: the member
-  // partitioner estimates (and make_axis_plan) work at the full cluster
-  // count, so an adaptive flip after a fail-stop would silently re-widen the
-  // plan onto dead clusters. Plans were re-picked at fault time with the
-  // then-current EMA; that choice stands until the fleet heals — this is
-  // also what makes the degrade re-plan flip exactly once per fault.
-  if (active_clusters_.load(std::memory_order_relaxed) != clusters_) return;
-  AdaptiveState* st;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    st = &adaptive_[sig];  // node-stable; first touch inserts
+  const kernels::Partitioner part(opt_, width, strategy_);
+  for (const snn::LayerSpec& spec : specs) {
+    ep.layers[kernels::layer_signature(spec)].plan = part.plan_layer(spec);
   }
-  const double density =
-      static_cast<double>(in_nnz) / static_cast<double>(in_elems);
-  std::lock_guard<std::mutex> lock(st->mu);
-  if (st->runs == 0) st->axis = plan_for(spec).axis;
-  st->ema = st->ema < 0.0
-                ? density
-                : st->ema + replan_.ema_alpha * (density - st->ema);
-  ++st->runs;
-  if (st->runs < replan_.warmup_runs) return;
-  const kernels::ShardAxis current = st->axis;
-  // Re-rank the two viable axes at the measured density (allocation-free
-  // estimates). The alternative must clear the hysteresis margin to win;
-  // at a stable density the winner is then also hysteresis-stable, so the
-  // plan cannot oscillate around a break-even point.
-  const kernels::ShardAxis alt = spec.kind == snn::LayerKind::kFc
-                                     ? kernels::ShardAxis::kFanIn
-                                     : kernels::ShardAxis::kIfmapStripe;
-  const kernels::ShardAxis candidate =
-      current == kernels::ShardAxis::kOutputChannel
-          ? alt
-          : kernels::ShardAxis::kOutputChannel;
-  const double est_cur = partitioner_.estimate_axis(spec, current, st->ema);
-  const double est_new = partitioner_.estimate_axis(spec, candidate, st->ema);
-  if (est_new >= replan_.hysteresis * est_cur) return;
-  // Build and swap the new plan while still holding the per-layer lock:
-  // concurrent observers of the same layer must see axis bookkeeping and
-  // cached plan move together, or two racing flips could land their swaps
-  // out of order and leave st->axis disagreeing with the executing plan
-  // forever. A flip is rare (at most one per density regime), so the
-  // allocation stays off the steady path; lock order st->mu -> plan_mu_ is
-  // safe because no path acquires st->mu while holding plan_mu_.
-  // Degenerate candidates collapse to a single output-channel shard inside
-  // make_axis_plan, exactly like the static planner.
-  auto next = std::make_shared<const kernels::LayerPlan>(
-      partitioner_.make_axis_plan(spec, candidate));
-  if (next->axis == current) return;  // candidate degenerated: keep the plan
-  st->axis = next->axis;
-  ++st->flips;
-  std::unique_lock<std::shared_mutex> plock(plan_mu_);
-  plans_[sig] = std::move(next);
+  return ep;
 }
 
-int ShardedBackend::replan_flips(const snn::LayerSpec& spec) const {
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  AdaptiveState* st = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    const auto it = adaptive_.find(sig);
-    if (it == adaptive_.end()) return 0;
-    st = &it->second;  // node-stable
-  }
-  std::lock_guard<std::mutex> lock(st->mu);
-  return st->flips;
+const ShardedBackend::NetworkPlan::Layer& ShardedBackend::layer_of(
+    const NetworkPlan& ep, const snn::LayerSpec& spec,
+    NetworkPlan::Layer& miss) const {
+  const auto it = ep.layers.find(kernels::layer_signature(spec));
+  if (it != ep.layers.end()) return it->second;
+  // Planned at the epoch's width, so a layer first seen after a fail-stop
+  // never lands shards on a failed cluster.
+  miss.plan = kernels::Partitioner(opt_, ep.width, strategy_).plan_layer(spec);
+  return miss;
 }
 
-kernels::ShardAxis ShardedBackend::active_axis(
-    const snn::LayerSpec& spec) const {
-  return plan_for(spec).axis;
+void ShardedBackend::publish(NetworkPlan next) const {
+  epochs_.push_back(std::make_unique<const NetworkPlan>(std::move(next)));
+  epoch_.store(epochs_.back().get(), std::memory_order_release);
 }
 
-double ShardedBackend::occupancy_ema(const snn::LayerSpec& spec) const {
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  AdaptiveState* st = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    const auto it = adaptive_.find(sig);
-    if (it == adaptive_.end()) return -1.0;
-    st = &it->second;  // node-stable
-  }
-  std::lock_guard<std::mutex> lock(st->mu);
-  return st->ema;
+kernels::LayerPlan ShardedBackend::plan_for(const snn::LayerSpec& spec) const {
+  NetworkPlan::Layer miss;
+  return layer_of(epoch(), spec, miss).plan;
+}
+
+void ShardedBackend::prepare(const snn::Network& net) const {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  const NetworkPlan& cur = epoch();
+  NetworkPlan next = plan_network(net.layers(), cur.width);
+  next.faults = cur.faults;
+  publish(std::move(next));
 }
 
 // ---------------------------------------------------------------------------
 // Fault injection / degraded mode
 // ---------------------------------------------------------------------------
 
-double ShardedBackend::planning_density(std::uint64_t sig) const {
-  AdaptiveState* st = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(adaptive_mu_);
-    const auto it = adaptive_.find(sig);
-    if (it != adaptive_.end()) st = &it->second;  // node-stable
-  }
-  if (st != nullptr) {
-    std::lock_guard<std::mutex> lock(st->mu);
-    if (st->ema >= 0.0) return st->ema;
-  }
-  return initial_plan_density();
-}
-
-void ShardedBackend::replan_for_width(int width) const {
-  if (prepared_specs_.empty()) return;  // nothing prepared: cold misses will
-                                        // plan at the active width anyway
-  kernels::Partitioner part(opt_, width, partitioner_.strategy());
-  if (pipeline_.enabled && stage_plan_.num_stages() > 0) {
-    // Stage mode: re-balance the whole pipeline at the surviving width, then
-    // re-pin every member layer's plan at its new group size — the same
-    // shape prepare() built, one cluster narrower. Adaptive EMAs are never
-    // seeded in stage mode, so the planning density matches prepare()'s.
-    kernels::StagePlan sp = part.plan_pipeline(
-        std::span<const snn::LayerSpec>(prepared_specs_), pipeline_, noc_,
-        initial_plan_density());
-    std::unique_lock<std::shared_mutex> lock(plan_mu_);
-    stage_plan_ = std::move(sp);
-    stage_info_.clear();
-    for (int s = 0; s < stage_plan_.num_stages(); ++s) {
-      const kernels::PipelineStage& st =
-          stage_plan_.stages[static_cast<std::size_t>(s)];
-      kernels::Partitioner group_part(opt_, st.clusters(),
-                                      partitioner_.strategy());
-      for (int l = st.layer_lo; l < st.layer_hi; ++l) {
-        const snn::LayerSpec& spec =
-            prepared_specs_[static_cast<std::size_t>(l)];
-        StageInfo info;
-        info.stage = s;
-        info.cluster_lo = st.cluster_lo;
-        info.group = st.clusters();
-        info.boundary =
-            s + 1 < stage_plan_.num_stages() && l == st.layer_hi - 1;
-        info.next_cluster_lo =
-            info.boundary
-                ? stage_plan_.stages[static_cast<std::size_t>(s + 1)].cluster_lo
-                : 0;
-        const std::uint64_t sig = kernels::layer_signature(spec);
-        stage_info_[sig] = info;
-        plans_[sig] = std::make_shared<const kernels::LayerPlan>(
-            group_part.plan_layer(spec, initial_plan_density()));
-      }
-    }
-    return;
-  }
-  for (const snn::LayerSpec& spec : prepared_specs_) {
-    const std::uint64_t sig = kernels::layer_signature(spec);
-    // Measured density where one is seeded: the degraded plan should serve
-    // the traffic the layer actually sees, not the cold-start assumption.
-    auto next = std::make_shared<const kernels::LayerPlan>(
-        part.plan_layer(spec, planning_density(sig)));
-    std::unique_lock<std::shared_mutex> lock(plan_mu_);
-    plans_[sig] = std::move(next);
-  }
-}
-
 bool ShardedBackend::fail_cluster(int cluster) const {
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  const int active = active_clusters_.load(std::memory_order_relaxed);
-  if (cluster < 0 || cluster >= clusters_ || active <= 1) return false;
-  if (failed_[static_cast<std::size_t>(cluster)]) return false;
-  failed_[static_cast<std::size_t>(cluster)] = true;
-  const int width = active - 1;
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  const NetworkPlan& cur = epoch();
+  if (cluster < 0 || cluster >= cur.width || cur.width <= 1) return false;
   // Survivors renumber into the dense [0, width) slot range: plans encode
-  // shard counts and ranges, not physical cluster ids, so masking a cluster
-  // is exactly re-planning one narrower. COW swap — in-flight runs keep the
-  // plan they pinned; the next dispatch executes degraded.
-  replan_for_width(width);
-  active_clusters_.store(width, std::memory_order_relaxed);
-  degrade_replans_.fetch_add(1, std::memory_order_relaxed);
+  // shard counts and ranges, not physical cluster ids, so dropping a slot
+  // is exactly re-planning one narrower.
+  NetworkPlan next = plan_network(cur.specs, cur.width - 1);
+  next.faults = cur.faults;
+  ++next.faults.degrade_replans;
+  publish(std::move(next));
   return true;
 }
 
 void ShardedBackend::set_cluster_slowdown(int cluster, double factor) const {
-  if (cluster < 0 || cluster >= arch::NocModel::kMaxClusters) return;
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  slowdown_[static_cast<std::size_t>(cluster)].store(
-      std::max(1.0, factor), std::memory_order_relaxed);
-  bool any = false;
-  for (int c = 0; c < clusters_ && c < arch::NocModel::kMaxClusters; ++c) {
-    any |= slowdown_[static_cast<std::size_t>(c)].load(
-               std::memory_order_relaxed) > 1.0;
-  }
-  any_slowdown_.store(any, std::memory_order_relaxed);
+  if (cluster < 0 || cluster >= clusters_) return;
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  NetworkPlan next = epoch();
+  next.faults.slowdown[static_cast<std::size_t>(cluster)] =
+      std::max(1.0, factor);
+  publish(std::move(next));
 }
 
 void ShardedBackend::set_link_degrade(int cluster, double factor) const {
-  if (cluster < 0 || cluster >= arch::NocModel::kMaxClusters) return;
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  link_derate_[static_cast<std::size_t>(cluster)].store(
-      std::max(1.0, factor), std::memory_order_relaxed);
-  double worst = 1.0;
-  bool any = false;
-  for (int c = 0; c < clusters_ && c < arch::NocModel::kMaxClusters; ++c) {
-    const double d =
-        link_derate_[static_cast<std::size_t>(c)].load(
-            std::memory_order_relaxed);
-    worst = std::max(worst, d);
-    any |= d > 1.0;
-  }
-  max_link_derate_.store(worst, std::memory_order_relaxed);
-  any_link_derate_.store(any, std::memory_order_relaxed);
-}
-
-void ShardedBackend::prepare(const snn::Network& net) const {
-  {
-    // The plan cache is signature-keyed; keep the specs themselves so a
-    // fail-stop can re-plan every prepared layer without the Network.
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    prepared_specs_.clear();
-    prepared_specs_.reserve(net.num_layers());
-    for (std::size_t l = 0; l < net.num_layers(); ++l) {
-      prepared_specs_.push_back(net.layer(l));
-    }
-  }
-  if (pipeline_.enabled && clusters_ > 1 && net.num_layers() > 0) {
-    // Choose the execution mode for this network (data-parallel vs
-    // stage-parallel vs hybrid) and pin every member layer's partition plan
-    // at its stage's group width: the plan cache then serves group-sized
-    // plans on the hot path with no stage-awareness. Layers outside the
-    // prepared network (unknown signatures) still fall back to full-width
-    // plans via plan_handle, exactly like before.
-    kernels::StagePlan sp = partitioner_.plan_pipeline(
-        net, pipeline_, noc_, initial_plan_density());
-    std::unique_lock<std::shared_mutex> lock(plan_mu_);
-    stage_plan_ = std::move(sp);
-    stage_info_.clear();
-    for (int s = 0; s < stage_plan_.num_stages(); ++s) {
-      const kernels::PipelineStage& st =
-          stage_plan_.stages[static_cast<std::size_t>(s)];
-      kernels::Partitioner group_part(opt_, st.clusters(),
-                                      partitioner_.strategy());
-      for (int l = st.layer_lo; l < st.layer_hi; ++l) {
-        const snn::LayerSpec& spec = net.layer(static_cast<std::size_t>(l));
-        StageInfo info;
-        info.stage = s;
-        info.cluster_lo = st.cluster_lo;
-        info.group = st.clusters();
-        info.boundary =
-            s + 1 < stage_plan_.num_stages() && l == st.layer_hi - 1;
-        info.next_cluster_lo =
-            info.boundary
-                ? stage_plan_.stages[static_cast<std::size_t>(s + 1)].cluster_lo
-                : 0;
-        const std::uint64_t sig = kernels::layer_signature(spec);
-        stage_info_[sig] = info;
-        plans_[sig] = std::make_shared<const kernels::LayerPlan>(
-            group_part.plan_layer(spec, initial_plan_density()));
-      }
-    }
-  }
-  for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    const snn::LayerSpec& spec = net.layer(l);
-    const kernels::ShardAxis axis = plan_for(spec).axis;  // plans a miss
-    if (replan_.enabled && !pipeline_.enabled) {
-      // Pre-create the adaptive bookkeeping, so steady-state observation
-      // never builds map nodes.
-      std::lock_guard<std::mutex> lock(adaptive_mu_);
-      adaptive_[kernels::layer_signature(spec)].axis = axis;
-    }
-  }
+  if (cluster < 0 || cluster >= clusters_) return;
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  NetworkPlan next = epoch();
+  NetworkPlan::Faults& f = next.faults;
+  f.link_derate[static_cast<std::size_t>(cluster)] = std::max(1.0, factor);
+  f.max_link_derate = *std::max_element(f.link_derate.begin(),
+                                        f.link_derate.begin() + clusters_);
+  publish(std::move(next));
 }
 
 void ShardedBackend::presize_state(snn::NetworkState& state,
                                    const snn::Network& net) const {
   ExecutionBackend::presize_state(state, net);  // worst-case main arenas
+  const NetworkPlan& ep = epoch();
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     const snn::LayerSpec& spec = net.layer(l);
-    const kernels::LayerPlan& plan = plan_for(spec);
-    // With re-planning the layer may flip to its alternative axis later
-    // (FC: fan-in <-> output-channel, conv/encode: stripe <-> output-
-    // channel); presize the lanes for whichever plan needs more so the swap
-    // does not grow arenas mid-run.
-    kernels::LayerPlan alt;
-    if (replan_.enabled && !pipeline_.enabled && clusters_ > 1) {
-      const kernels::ShardAxis other =
-          plan.axis == kernels::ShardAxis::kOutputChannel
-              ? (spec.kind == snn::LayerKind::kFc
-                     ? kernels::ShardAxis::kFanIn
-                     : kernels::ShardAxis::kIfmapStripe)
-              : kernels::ShardAxis::kOutputChannel;
-      alt = partitioner_.make_axis_plan(spec, other);
-    }
-    const std::size_t lanes_needed = std::max(plan.n(), alt.n());
-    if (lanes_needed <= 1) continue;
+    NetworkPlan::Layer miss;
+    const kernels::LayerPlan& plan = layer_of(ep, spec, miss).plan;
+    if (plan.n() <= 1) continue;
     kernels::LayerScratch& scratch = state.scratch(l);
-    if (scratch.lanes.size() < lanes_needed) {
-      scratch.lanes.resize(lanes_needed);
+    if (scratch.lanes.size() < plan.n()) scratch.lanes.resize(plan.n());
+    if (plan.axis != kernels::ShardAxis::kIfmapStripe) continue;
+    for (std::size_t s = 0; s < plan.n(); ++s) {
+      // Halo'd input stripe, zero-sparsity worst case.
+      const std::size_t in_rows =
+          static_cast<std::size_t>(plan.shards[s].extent() + spec.k - 1);
+      const std::size_t positions =
+          in_rows * static_cast<std::size_t>(spec.in_w);
+      scratch.lanes[s].csr.reserve(
+          positions, positions * static_cast<std::size_t>(spec.in_c));
     }
-    auto reserve_stripes = [&](const kernels::LayerPlan& p) {
-      if (p.axis != kernels::ShardAxis::kIfmapStripe) return;
-      for (std::size_t s = 0; s < p.n(); ++s) {
-        // Halo'd input stripe, zero-sparsity worst case.
-        const std::size_t in_rows =
-            static_cast<std::size_t>(p.shards[s].extent() + spec.k - 1);
-        const std::size_t positions =
-            in_rows * static_cast<std::size_t>(spec.in_w);
-        scratch.lanes[s].csr.reserve(
-            positions, positions * static_cast<std::size_t>(spec.in_c));
-      }
-    };
-    reserve_stripes(plan);
-    reserve_stripes(alt);
   }
 }
 
@@ -461,7 +237,8 @@ void ShardedBackend::for_shards(
 // private DRAM channel: merge_parallel takes the max of the per-channel DMA
 // timelines (channels drain concurrently) and sums the row-hit/row-miss
 // activity counters, exactly like the other per-cluster activity.
-void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
+void ShardedBackend::merge_shard_stats(const NetworkPlan& ep,
+                                       const kernels::LayerScratch& scratch,
                                        std::size_t n,
                                        kernels::LayerRun& merged,
                                        int base) const {
@@ -481,7 +258,8 @@ void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
     // cluster); the layer's merged wall-clock is the max over effective
     // shard times.
     const double eff =
-        run.stats.cycles * shard_slowdown(base + static_cast<int>(s));
+        run.stats.cycles *
+        ep.faults.slowdown[static_cast<std::size_t>(base) + s];
     eff_max = std::max(eff_max, eff);
     if (eff > slowest_eff) {
       slowest_eff = eff;
@@ -493,9 +271,9 @@ void ShardedBackend::merge_shard_stats(const kernels::LayerScratch& scratch,
 }
 
 double ShardedBackend::merge_stripe_shards(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
-    const kernels::LayerScratch& scratch, kernels::LayerRun& merged,
-    int base) const {
+    const NetworkPlan& ep, const kernels::LayerPlan& plan,
+    const snn::LayerSpec& spec, const kernels::LayerScratch& scratch,
+    kernels::LayerRun& merged, int base) const {
   double gather_bytes = 0;
   for (std::size_t s = 1; s < plan.n(); ++s) {
     gather_bytes += static_cast<double>(
@@ -503,12 +281,12 @@ double ShardedBackend::merge_stripe_shards(
             scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
             spec.out_w()));
   }
-  merge_shard_stats(scratch, plan.n(), merged, base);
+  merge_shard_stats(ep, scratch, plan.n(), merged, base);
   return gather_bytes;
 }
 
 void ShardedBackend::apply_noc(
-    kernels::KernelStats& st, double legacy_bytes,
+    const NetworkPlan& ep, kernels::KernelStats& st, double legacy_bytes,
     common::FunctionRef<void(arch::NocModel&)> charge) const {
   if (noc_.topology == arch::NocTopology::kLegacyCeiling) {
     // Historical accounting, bit-exact when healthy: payload totals (a
@@ -519,9 +297,8 @@ void ShardedBackend::apply_noc(
     st.noc_bytes += legacy_bytes;
     if (noc_.model_contention) {
       arch::NocParams p = noc_;
-      if (any_link_derate_.load(std::memory_order_relaxed)) {
-        p.shared_bytes_per_cycle /=
-            max_link_derate_.load(std::memory_order_relaxed);
+      if (ep.faults.max_link_derate > 1.0) {
+        p.shared_bytes_per_cycle /= ep.faults.max_link_derate;
       }
       const double gate = arch::noc_transfer_cycles(p, st.noc_bytes);
       if (gate > st.cycles) {
@@ -536,11 +313,10 @@ void ShardedBackend::apply_noc(
   // payloads are NOT multiplied by the receiver count) and the fabric gate
   // is hop latency plus the bottleneck link's serialization.
   arch::NocModel model(noc_, clusters_);
-  if (any_link_derate_.load(std::memory_order_relaxed)) {
-    for (int c = 0; c < clusters_ && c < arch::NocModel::kMaxClusters; ++c) {
+  if (ep.faults.max_link_derate > 1.0) {
+    for (int c = 0; c < clusters_; ++c) {
       model.set_link_derate(
-          c, link_derate_[static_cast<std::size_t>(c)].load(
-                 std::memory_order_relaxed));
+          c, ep.faults.link_derate[static_cast<std::size_t>(c)]);
     }
   }
   charge(model);
@@ -554,7 +330,8 @@ void ShardedBackend::apply_noc(
   }
 }
 
-void ShardedBackend::apply_stage_handoff(const StageInfo& stage,
+void ShardedBackend::apply_stage_handoff(const NetworkPlan& ep,
+                                         const StageInfo& stage,
                                          const snn::LayerSpec& spec,
                                          kernels::LayerRun& run) const {
   if (!stage.boundary) return;
@@ -571,7 +348,7 @@ void ShardedBackend::apply_stage_handoff(const StageInfo& stage,
           run.out_nnz, spec.out_h(), spec.out_w()));
   const int src = stage.cluster_lo + stage.group - 1;
   const int dst = stage.next_cluster_lo;
-  apply_noc(run.stats, bytes, [&](arch::NocModel& m) {
+  apply_noc(ep, run.stats, bytes, [&](arch::NocModel& m) {
     m.unicast(src, dst, bytes);
   });
 }
@@ -581,7 +358,8 @@ void ShardedBackend::apply_stage_handoff(const StageInfo& stage,
 // ---------------------------------------------------------------------------
 
 const kernels::LayerRun& ShardedBackend::run_channel_sharded(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
+    const NetworkPlan& ep, const kernels::LayerPlan& plan,
+    const snn::LayerSpec& spec,
     kernels::LayerScratch& scratch, double input_bytes, int base,
     common::FunctionRef<void(const snn::LayerSpec&, kernels::KernelScratch&)>
         time) const {
@@ -597,7 +375,7 @@ const kernels::LayerRun& ShardedBackend::run_channel_sharded(
     sub.out_c = r.extent();
     time(sub, ks);
   });
-  merge_shard_stats(scratch, n, merged, base);
+  merge_shard_stats(ep, scratch, n, merged, base);
 
   // The input is broadcast: every cluster beyond the owner receives a full
   // replica; the owner gathers the other clusters' ofmap slices. The legacy
@@ -608,7 +386,7 @@ const kernels::LayerRun& ShardedBackend::run_channel_sharded(
     noc += static_cast<double>(compress::CsrIfmap::footprint_from_count(
         scratch.lanes[s].ks.run.out_nnz, spec.out_h(), spec.out_w()));
   }
-  apply_noc(merged.stats, noc, [&](arch::NocModel& m) {
+  apply_noc(ep, merged.stats, noc, [&](arch::NocModel& m) {
     m.multicast(base, base, base + static_cast<int>(n), input_bytes);
     for (std::size_t s = 1; s < n; ++s) {
       m.unicast(base + static_cast<int>(s), base,
@@ -625,7 +403,8 @@ const kernels::LayerRun& ShardedBackend::run_channel_sharded(
 // ---------------------------------------------------------------------------
 
 const kernels::LayerRun& ShardedBackend::run_stripe_conv(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
+    const NetworkPlan& ep, const kernels::LayerPlan& plan,
+    const snn::LayerSpec& spec,
     const compress::CsrIfmap& ifmap, kernels::LayerScratch& scratch,
     int base) const {
   const std::size_t n = plan.n();
@@ -649,9 +428,9 @@ const kernels::LayerRun& ShardedBackend::run_stripe_conv(
     halo_bytes += static_cast<double>(scratch.lanes[s].csr.footprint_bytes());
   }
   const double gather_bytes =
-      merge_stripe_shards(plan, spec, scratch, merged, base);
+      merge_stripe_shards(ep, plan, spec, scratch, merged, base);
   const double halo = std::max(0.0, halo_bytes);
-  apply_noc(merged.stats, halo + gather_bytes, [&](arch::NocModel& m) {
+  apply_noc(ep, merged.stats, halo + gather_bytes, [&](arch::NocModel& m) {
     // Halos flow between adjacent stripes: split the overlap traffic evenly
     // over the n - 1 neighbor pairs. Ofmap slices gather to the owner.
     const double per_pair = halo / static_cast<double>(n - 1);
@@ -668,7 +447,8 @@ const kernels::LayerRun& ShardedBackend::run_stripe_conv(
 }
 
 const kernels::LayerRun& ShardedBackend::run_stripe_encode(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
+    const NetworkPlan& ep, const kernels::LayerPlan& plan,
+    const snn::LayerSpec& spec,
     kernels::LayerScratch& scratch, int base) const {
   const std::size_t n = plan.n();
   if (scratch.lanes.size() < n) scratch.lanes.resize(n);
@@ -689,8 +469,8 @@ const kernels::LayerRun& ShardedBackend::run_stripe_encode(
   const double halo_rows =
       static_cast<double>(n - 1) * static_cast<double>(spec.k - 1);
   const double gather_bytes =
-      merge_stripe_shards(plan, spec, scratch, merged, base);
-  apply_noc(merged.stats, halo_rows * px_bytes + gather_bytes,
+      merge_stripe_shards(ep, plan, spec, scratch, merged, base);
+  apply_noc(ep, merged.stats, halo_rows * px_bytes + gather_bytes,
             [&](arch::NocModel& m) {
               // (k - 1) image rows duplicated per neighbor pair, plus the
               // ofmap gather to the owner.
@@ -715,7 +495,8 @@ const kernels::LayerRun& ShardedBackend::run_stripe_encode(
 // ---------------------------------------------------------------------------
 
 const kernels::LayerRun& ShardedBackend::run_fc_fanin(
-    const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
+    const NetworkPlan& ep, const kernels::LayerPlan& plan,
+    const snn::LayerSpec& spec,
     const compress::CsrIfmap& ifmap, kernels::LayerScratch& scratch,
     int base) const {
   // Only timing is split: the full-width functional pass already ran, and
@@ -730,7 +511,7 @@ const kernels::LayerRun& ShardedBackend::run_fc_fanin(
   });
 
   kernels::LayerRun& merged = scratch.main.run;
-  merge_shard_stats(scratch, n, merged, base);
+  merge_shard_stats(ep, scratch, n, merged, base);
 
   // Sequential tail: partial vectors cross the NoC to the merging cluster,
   // are reduced group-wise, then thresholded exactly once. The inputs were
@@ -742,7 +523,7 @@ const kernels::LayerRun& ShardedBackend::run_fc_fanin(
   merged.stats.fpu_ops += tail.fpu_ops;
   merged.stats.int_instrs += tail.int_instrs;
   merged.stats.tcdm_words += tail.tcdm_words;
-  apply_noc(merged.stats, tail.noc_bytes, [&](arch::NocModel& m) {
+  apply_noc(ep, merged.stats, tail.noc_bytes, [&](arch::NocModel& m) {
     // Partial-sum vectors converge on the merging cluster, one per peer.
     const double per_peer = tail.noc_bytes / static_cast<double>(n - 1);
     for (std::size_t s = 1; s < n; ++s) {
@@ -760,13 +541,9 @@ const kernels::LayerRun& ShardedBackend::run_conv(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  observe_density(sig, spec, ifmap.nnz(),
-                  static_cast<std::size_t>(spec.in_h) * spec.in_w *
-                      static_cast<std::size_t>(spec.in_c));
-  StageInfo stage;
-  const auto plan_ref = plan_handle(sig, spec, &stage);  // pinned for this run
-  const kernels::LayerPlan& plan = *plan_ref;
+  const NetworkPlan& ep = epoch();  // this call's epoch, start to finish
+  NetworkPlan::Layer miss;
+  const auto& [plan, stage] = layer_of(ep, spec, miss);
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
   // Spikes from one full-width pass, tiled on the shard pool when threads
   // are on (the tile rule keeps tiny layers at one tile, off the pool).
@@ -779,18 +556,18 @@ const kernels::LayerRun& ShardedBackend::run_conv(
   if (plan.n() <= 1) {
     kernels::conv_timing(spec, ifmap, opt_, scratch.main);
   } else if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
-    run_stripe_conv(plan, spec, ifmap, scratch, stage.cluster_lo);
+    run_stripe_conv(ep, plan, spec, ifmap, scratch, stage.cluster_lo);
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "conv " << spec.name << ": unsupported shard axis");
     run_channel_sharded(
-        plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
+        ep, plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
         stage.cluster_lo,
         [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
           kernels::conv_timing(sub, ifmap, opt_, ks);
         });
   }
-  apply_stage_handoff(stage, spec, scratch.main.run);
+  apply_stage_handoff(ep, stage, spec, scratch.main.run);
   return scratch.main.run;
 }
 
@@ -798,28 +575,26 @@ const kernels::LayerRun& ShardedBackend::run_fc(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const compress::CsrIfmap& ifmap, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  const std::uint64_t sig = kernels::layer_signature(spec);
-  observe_density(sig, spec, ifmap.nnz(), static_cast<std::size_t>(spec.in_c));
-  StageInfo stage;
-  const auto plan_ref = plan_handle(sig, spec, &stage);  // pinned for this run
-  const kernels::LayerPlan& plan = *plan_ref;
+  const NetworkPlan& ep = epoch();
+  NetworkPlan::Layer miss;
+  const auto& [plan, stage] = layer_of(ep, spec, miss);
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
   kernels::fc_functional(spec, weights, ifmap, membrane, scratch.main);
   if (plan.n() <= 1) {
     kernels::fc_timing(spec, ifmap, opt_, scratch.main);
   } else if (plan.axis == kernels::ShardAxis::kFanIn) {
-    run_fc_fanin(plan, spec, ifmap, scratch, stage.cluster_lo);
+    run_fc_fanin(ep, plan, spec, ifmap, scratch, stage.cluster_lo);
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "fc " << spec.name << ": unsupported shard axis");
     run_channel_sharded(
-        plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
+        ep, plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
         stage.cluster_lo,
         [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
           kernels::fc_timing(sub, ifmap, opt_, ks);
         });
   }
-  apply_stage_handoff(stage, spec, scratch.main.run);
+  apply_stage_handoff(ep, stage, spec, scratch.main.run);
   return scratch.main.run;
 }
 
@@ -827,12 +602,9 @@ const kernels::LayerRun& ShardedBackend::run_encode(
     const snn::LayerSpec& spec, const snn::LayerWeights& weights,
     const snn::Tensor& padded_image, snn::Tensor& membrane,
     kernels::LayerScratch& scratch) const {
-  // The encode layer's dense input has density 1.0 by construction; there is
-  // nothing for the occupancy re-planner to observe.
-  StageInfo stage;
-  const auto plan_ref =
-      plan_handle(kernels::layer_signature(spec), spec, &stage);
-  const kernels::LayerPlan& plan = *plan_ref;
+  const NetworkPlan& ep = epoch();
+  NetworkPlan::Layer miss;
+  const auto& [plan, stage] = layer_of(ep, spec, miss);
   SPK_CHECK(!plan.shards.empty(), "sharded " << spec.name << ": empty plan");
   const LayerLane lane{.membrane = &membrane, .scratch = &scratch,
                        .image = &padded_image};
@@ -841,7 +613,7 @@ const kernels::LayerRun& ShardedBackend::run_encode(
   if (plan.n() <= 1) {
     kernels::encode_timing(spec, opt_, scratch.main);
   } else if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
-    run_stripe_encode(plan, spec, scratch, stage.cluster_lo);
+    run_stripe_encode(ep, plan, spec, scratch, stage.cluster_lo);
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "encode " << spec.name << ": unsupported shard axis");
@@ -849,12 +621,12 @@ const kernels::LayerRun& ShardedBackend::run_encode(
         static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
         spec.in_w * spec.in_c;
     run_channel_sharded(
-        plan, spec, scratch, image_bytes, stage.cluster_lo,
+        ep, plan, spec, scratch, image_bytes, stage.cluster_lo,
         [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
           kernels::encode_timing(sub, opt_, ks);
         });
   }
-  apply_stage_handoff(stage, spec, scratch.main.run);
+  apply_stage_handoff(ep, stage, spec, scratch.main.run);
   return scratch.main.run;
 }
 

@@ -7,8 +7,8 @@
 // Four fault kinds, mirroring the failure domains of a multi-cluster part:
 //
 //  * kClusterFailStop   — a cluster drops out of the active set for good.
-//    The sharded backend re-picks every prepared layer's plan over the
-//    survivors (copy-on-write, the PR-5 replan machinery), so modeled cycles
+//    The sharded backend re-plans every prepared layer over the survivors
+//    and publishes the result as a new plan epoch, so modeled cycles
 //    reflect the lost capacity while spikes stay bit-identical.
 //  * kClusterSlowdown   — a straggler: one cluster's shard service time is
 //    multiplied by `factor` (thermal throttling, a flaky DRAM channel).

@@ -234,8 +234,9 @@ void InferenceServer::apply_fault_events() {
     const FaultEvent& e = events[next_fault_++];
     switch (e.kind) {
       case FaultKind::kClusterFailStop:
-        // fail_cluster() is the arbiter: it refuses duplicates, bad ids and
-        // killing the last survivor, and re-plans exactly once on accept.
+        // fail_cluster() is the arbiter: it refuses ids outside the active
+        // slots and killing the last survivor, and re-plans exactly once on
+        // accept.
         if (sharded_ != nullptr && sharded_->fail_cluster(e.cluster)) {
           std::lock_guard<std::mutex> lock(stats_mu_);
           ++stats_.cluster_failures;

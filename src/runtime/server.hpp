@@ -33,8 +33,8 @@
 // use, so the admission -> dispatch -> complete hot path is allocation-free
 // at steady state (tests/test_scratch_reuse.cpp counts it).
 //
-// SLO-aware wave sizing: a hysteresis-gated controller (mirroring the PR-5
-// replan gate) trades wave size for latency. Full waves leaving a backlog
+// SLO-aware wave sizing: a hysteresis-gated controller trades wave size for
+// latency. Full waves leaving a backlog
 // grow the target (×2 toward max_wave_lanes — throughput under heavy load);
 // deadline-fired waves at <= shrink_occupancy of the target shrink it (÷2
 // toward min_wave_lanes — a light-load request no longer waits for lanes it

@@ -3,6 +3,7 @@
 // Fig. 3a (see DESIGN.md §5) and weight quantization for FP16/FP8 runs.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,7 @@ class Network {
   void add_layer(const LayerSpec& spec);
 
   std::size_t num_layers() const { return layers_.size(); }
+  std::span<const LayerSpec> layers() const { return layers_; }
   const LayerSpec& layer(std::size_t i) const { return layers_[i]; }
   LayerSpec& layer(std::size_t i) { return layers_[i]; }
   const LayerWeights& weights(std::size_t i) const { return weights_[i]; }

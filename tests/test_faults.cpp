@@ -5,8 +5,12 @@
 //     (no oscillation), raises modeled cycles, and leaves completed spikes
 //     bit-identical to the healthy run — the spikes-are-plan-invariant
 //     guarantee degraded mode inherits from the partitioner;
+//   * fault ids are active cluster slots: fail_cluster accepts an id iff it
+//     names a live slot and another cluster survives;
 //   * slowdown and link-degrade faults only stretch modeled timing; a factor
 //     of 1 restores the healthy cycles bit-exactly;
+//   * faults applied while a batch runs publish new plan epochs without
+//     disturbing in-flight layers: every result keeps the healthy spikes;
 //   * the server applies structural faults at wave boundaries, contains
 //     throwing waves (transient faults retry from clean lane state and land
 //     bit-identical; exhausted retries fail only that wave's requests with
@@ -14,12 +18,17 @@
 //     every admitted request: admitted == completed + timed_out + errored.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/noc.hpp"
 #include "common/rng.hpp"
 #include "runtime/backend_sharded.hpp"
+#include "runtime/batch.hpp"
 #include "runtime/faults.hpp"
 #include "runtime/multistep.hpp"
 #include "runtime/server.hpp"
@@ -41,6 +50,21 @@ snn::Network test_net() {
   const auto calib = snn::make_batch(4, 7, 16, 16, 3);
   const std::vector<double> targets = {0.20, 0.15, 0.30};
   snn::calibrate_thresholds(net, calib, targets);
+  return net;
+}
+
+/// The deep narrow tower, the network the planner pipelines into stages.
+snn::Network tower_net() {
+  snn::Network net = snn::Network::make_deep_tower();
+  sc::Rng rng(42);
+  net.init_weights(rng);
+  std::vector<snn::Tensor> calib;
+  for (int i = 0; i < 4; ++i) {
+    snn::Tensor t(6, 6, 3);
+    for (auto& v : t.v) v = rng.uniform();
+    calib.push_back(t);
+  }
+  snn::calibrate_thresholds(net, calib, snn::deep_tower_target_rates());
   return net;
 }
 
@@ -280,6 +304,113 @@ TEST(DegradedMode, FailStopKeepsSpikesBitIdenticalAndReplansOnce) {
       rt::run_timesteps(healthy, hs2, images[0], 3);
   EXPECT_EQ(solo.spike_counts, ref.spike_counts);
   EXPECT_GE(solo.total_cycles, ref.total_cycles);
+}
+
+TEST(DegradedMode, FailStopIdsAreActiveSlots) {
+  // Ids name active slots, renumbered densely over the survivors after each
+  // fail-stop: an id is accepted iff 0 <= id < active_clusters() and
+  // another cluster survives.
+  struct Call {
+    int id;
+    bool accepted;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Call> calls;
+    int active_after;
+  };
+  const Case cases[] = {
+      {"out of range", {{-1, false}, {4, false}, {64, false}}, 4},
+      {"slot 3 is gone after one fail-stop", {{0, true}, {3, false}}, 3},
+      {"slot 1 names a survivor after its first fail-stop",
+       {{1, true}, {1, true}},
+       2},
+      {"down to the last survivor",
+       {{3, true}, {2, true}, {1, true}, {0, false}},
+       1},
+  };
+  const k::RunOptions opt;
+  for (const Case& c : cases) {
+    const rt::ShardedBackend sb(opt, 4, /*use_threads=*/false);
+    for (std::size_t i = 0; i < c.calls.size(); ++i) {
+      const int before = sb.active_clusters();
+      EXPECT_EQ(sb.fail_cluster(c.calls[i].id), c.calls[i].accepted)
+          << c.name << ": call " << i << " (slot " << c.calls[i].id << ")";
+      EXPECT_EQ(sb.active_clusters(), before - (c.calls[i].accepted ? 1 : 0))
+          << c.name << ": call " << i;
+      EXPECT_EQ(sb.degrade_replans(), sb.failed_clusters()) << c.name;
+    }
+    EXPECT_EQ(sb.active_clusters(), c.active_after) << c.name;
+    // A layer outside the prepared network plans at the active width.
+    snn::LayerSpec fc;
+    fc.kind = snn::LayerKind::kFc;
+    fc.name = "unprepared";
+    fc.in_c = 1024;
+    fc.out_c = 64;
+    EXPECT_EQ(sb.plan_for(fc).n(), static_cast<std::size_t>(c.active_after))
+        << c.name;
+  }
+}
+
+TEST(DegradedMode, ConcurrentFaultsKeepEveryBatchResult) {
+  // Batches keep running on the stage-mode tower while a second thread
+  // fails clusters, slows them and derates their links. Each fault
+  // publishes a new plan epoch; layer calls in flight finish on the epoch
+  // they loaded, so every result keeps the healthy spike counts.
+  const snn::Network net = tower_net();
+  std::vector<snn::Tensor> images;
+  sc::Rng rng(7);
+  for (int i = 0; i < 8; ++i) {
+    snn::Tensor t(6, 6, 3);
+    for (auto& v : t.v) v = rng.uniform();
+    images.push_back(t);
+  }
+  k::RunOptions opt;
+  rt::BackendConfig cfg = sharded(8);
+  cfg.shard_threads = true;
+  cfg.partition = k::PartitionStrategy::kHybrid;
+  cfg.noc.topology = arch::NocTopology::kRingQuadrant;
+  cfg.noc.model_contention = true;
+  cfg.pipeline.enabled = true;
+  const rt::BatchRunner runner(net, opt, cfg, {}, /*workers=*/4);
+  const rt::ShardedBackend* sb = sharded_of(runner.engine());
+  ASSERT_NE(sb, nullptr);
+  ASSERT_TRUE(sb->stage_parallel_active());
+  constexpr int kSteps = 2;
+  const std::vector<rt::MultiStepResult> healthy = runner.run(images, kSteps);
+
+  std::atomic<bool> started{false}, faults_done{false};
+  int accepted = 0;
+  std::thread faults([&] {
+    while (!started.load()) std::this_thread::yield();
+    for (int i = 0; i < 5; ++i) {
+      sb->set_cluster_slowdown(i, 2.0 + i);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      sb->set_link_degrade(7 - i, 4.0);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      accepted += sb->fail_cluster(sb->active_clusters() - 1) ? 1 : 0;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    faults_done.store(true);
+  });
+  int batches = 0;
+  started.store(true);
+  do {
+    const std::vector<rt::MultiStepResult> got = runner.run(images, kSteps);
+    ++batches;
+    ASSERT_EQ(got.size(), healthy.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].spike_counts, healthy[i].spike_counts)
+          << "batch " << batches << " sample " << i;
+      EXPECT_GT(got[i].total_cycles, 0.0);
+    }
+  } while (!faults_done.load() || batches < 2);
+  faults.join();
+
+  EXPECT_EQ(accepted, 5);
+  EXPECT_EQ(sb->active_clusters(), 3);
+  EXPECT_EQ(sb->degrade_replans(), sb->failed_clusters());
+  EXPECT_EQ(sb->degrade_replans(), accepted);
 }
 
 TEST(DegradedMode, SlowdownAndLinkDegradeOnlyStretchTiming) {

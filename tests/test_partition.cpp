@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "arch/noc.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "compress/csr_ifmap.hpp"
 #include "kernels/layer_kernels.hpp"
@@ -937,6 +938,113 @@ TEST(PartitionPlans, PreparedAtEngineConstructionAndLanesPresized) {
   EXPECT_EQ(head.n(), 8u);
 }
 
+TEST(PartitionPlans, UnusableShardedConfigsThrowAtConstruction) {
+  struct Case {
+    int clusters;
+    int min_work;
+    const char* field;  ///< named by the error; null = must construct
+  };
+  const Case cases[] = {
+      {0, 0, "BackendConfig::clusters"},
+      {-1, 0, "BackendConfig::clusters"},
+      {65, 0, "BackendConfig::clusters"},
+      {4, -1, "BackendConfig::shard_min_work"},
+      {1, 0, nullptr},
+      {64, 0, nullptr},
+  };
+  const k::RunOptions opt;
+  for (const Case& c : cases) {
+    rt::BackendConfig cfg =
+        sharded_cfg(k::PartitionStrategy::kHybrid, c.clusters, false);
+    cfg.shard_min_work = c.min_work;
+    const std::string where = "clusters " + std::to_string(c.clusters) +
+                              ", min_work " + std::to_string(c.min_work);
+    if (c.field == nullptr) {
+      EXPECT_EQ(rt::make_backend(opt, cfg)->num_clusters(), c.clusters)
+          << where;
+      continue;
+    }
+    try {
+      rt::make_backend(opt, cfg);
+      ADD_FAILURE() << where << ": constructed";
+    } catch (const spikestream::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << where << ": " << e.what();
+    }
+  }
+}
+
+TEST(PartitionPlans, ShardedStatsDependOnlyOnInputs) {
+  // Modeled stats of a sharded BatchRunner are a pure function of the
+  // inputs: at workers {1, 2, 4}, twice each, every KernelStats field of
+  // every layer and sample must agree bit for bit — on the hybrid test net
+  // at 8 clusters and on the stage-mode tower.
+  struct Case {
+    const char* name;
+    snn::Network net;
+    rt::BackendConfig cfg;
+    std::vector<snn::Tensor> images;
+  };
+  rt::BackendConfig tower_cfg = pipeline_cfg(8, k::ExecMode::kAuto, true);
+  tower_cfg.shard_threads = true;
+  const Case cases[] = {
+      {"hybrid test_net x8", test_net(),
+       sharded_cfg(k::PartitionStrategy::kHybrid, 8),
+       snn::make_batch(6, 11, 16, 16, 3)},
+      {"stage-mode tower x8", tower_net(), tower_cfg, tower_inputs(6)},
+  };
+  const k::RunOptions opt;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Case& c : cases) {
+    std::vector<rt::InferenceResult> ref_step;
+    std::vector<rt::MultiStepResult> ref_run;
+    for (const int workers : {1, 2, 4}) {
+      const rt::BatchRunner runner(c.net, opt, c.cfg, {}, workers);
+      for (int rep = 0; rep < 2; ++rep) {
+        const std::string where = std::string(c.name) + " workers " +
+                                  std::to_string(workers) + " rep " +
+                                  std::to_string(rep);
+        const std::vector<rt::InferenceResult> step =
+            runner.run_single_step(c.images);
+        const std::vector<rt::MultiStepResult> run = runner.run(c.images, 3);
+        if (ref_step.empty()) {
+          ref_step = step;
+          ref_run = run;
+          continue;
+        }
+        ASSERT_EQ(step.size(), ref_step.size()) << where;
+        ASSERT_EQ(run.size(), ref_run.size()) << where;
+        for (std::size_t i = 0; i < step.size(); ++i) {
+          const std::string at = where + " sample " + std::to_string(i);
+          ASSERT_EQ(step[i].layers.size(), ref_step[i].layers.size()) << at;
+          for (std::size_t l = 0; l < step[i].layers.size(); ++l) {
+            expect_stats_identical(step[i].layers[l].stats,
+                                   ref_step[i].layers[l].stats,
+                                   at + " layer " + std::to_string(l));
+          }
+          EXPECT_EQ(step[i].final_output.v, ref_step[i].final_output.v)
+              << at;
+          EXPECT_EQ(bits(step[i].total_energy_mj),
+                    bits(ref_step[i].total_energy_mj))
+              << at;
+          EXPECT_EQ(run[i].spike_counts, ref_run[i].spike_counts) << at;
+          ASSERT_EQ(run[i].cycles_per_step.size(),
+                    ref_run[i].cycles_per_step.size())
+              << at;
+          for (std::size_t t = 0; t < run[i].cycles_per_step.size(); ++t) {
+            EXPECT_EQ(bits(run[i].cycles_per_step[t]),
+                      bits(ref_run[i].cycles_per_step[t]))
+                << at << " t=" << t;
+          }
+          EXPECT_EQ(bits(run[i].total_energy_mj),
+                    bits(ref_run[i].total_energy_mj))
+              << at;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Segment-major batched FC execution
 // ---------------------------------------------------------------------------
@@ -1047,134 +1155,4 @@ TEST(SegmentMajor, ReducesFcDmaAndItemizesSaving) {
     // Spikes untouched by the accounting change.
     EXPECT_EQ(a[i].final_output.v, b[i].final_output.v) << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Occupancy-adaptive re-planning
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Drive `runs` executions of `spec` through a sharded backend at a given
-/// input density (deterministic evenly-spaced spikes).
-void drive_fc(const rt::ShardedBackend& be, const snn::LayerSpec& spec,
-              const snn::LayerWeights& w, double density, int runs) {
-  snn::SpikeMap in(1, 1, spec.in_c);
-  const int stride =
-      std::max(1, static_cast<int>(1.0 / std::max(density, 1e-6)));
-  for (int c = 0; c < spec.in_c; c += stride) in.at(0, 0, c) = 1;
-  for (int r = 0; r < runs; ++r) {
-    spikestream::compress::CsrIfmap csr;
-    spikestream::compress::CsrIfmap::encode_into(in, csr);
-    snn::Tensor mem(1, 1, spec.out_c);
-    k::LayerScratch scratch;
-    be.run_fc(spec, w, csr, mem, scratch);
-  }
-}
-
-}  // namespace
-
-TEST(AdaptiveReplan, FlipsExactlyOnceAfterWarmupAndNeverOscillates) {
-  // fc8-shaped head at 8 clusters: the cold-density initial plan picks
-  // output-channel tiles; once the measured EMA is seeded with the
-  // steady-state density, the re-planner must flip to fan-in exactly once
-  // and then hold the axis over many more runs at stable density.
-  k::RunOptions opt;
-  const auto spec = fc_spec(1024, 10);
-  snn::LayerWeights w;
-  w.k = 1;
-  w.in_c = spec.in_c;
-  w.out_c = spec.out_c;
-  w.v.assign(static_cast<std::size_t>(spec.in_c) * spec.out_c, 0.01f);
-  k::ReplanConfig replan;
-  replan.enabled = true;
-  const rt::ShardedBackend be(opt, 8, /*use_threads=*/false,
-                              k::PartitionStrategy::kHybrid, {}, nullptr,
-                              32 * 1024, replan);
-  // Cold-start plan: near-empty density prefers output-channel.
-  EXPECT_EQ(be.active_axis(spec), k::ShardAxis::kOutputChannel);
-  EXPECT_EQ(be.replan_flips(spec), 0);
-
-  drive_fc(be, spec, w, 0.15, replan.warmup_runs);  // seed the EMA
-  EXPECT_EQ(be.replan_flips(spec), 1);
-  EXPECT_EQ(be.active_axis(spec), k::ShardAxis::kFanIn);
-
-  drive_fc(be, spec, w, 0.15, 30);  // stable density: no oscillation
-  EXPECT_EQ(be.replan_flips(spec), 1);
-  EXPECT_EQ(be.active_axis(spec), k::ShardAxis::kFanIn);
-}
-
-TEST(AdaptiveReplan, HysteresisHoldsAxisThroughDensityJitter) {
-  k::RunOptions opt;
-  const auto spec = fc_spec(1024, 10);
-  snn::LayerWeights w;
-  w.k = 1;
-  w.in_c = spec.in_c;
-  w.out_c = spec.out_c;
-  w.v.assign(static_cast<std::size_t>(spec.in_c) * spec.out_c, 0.01f);
-  k::ReplanConfig replan;
-  replan.enabled = true;
-  const rt::ShardedBackend be(opt, 8, /*use_threads=*/false,
-                              k::PartitionStrategy::kHybrid, {}, nullptr,
-                              32 * 1024, replan);
-  // Jitter around a steady level: the EMA smooths it and the hysteresis
-  // margin absorbs what remains — at most the one warmup flip may happen.
-  for (int r = 0; r < 20; ++r) {
-    drive_fc(be, spec, w, 0.12 + 0.06 * (r % 2), 1);
-  }
-  EXPECT_LE(be.replan_flips(spec), 1);
-  const auto axis_after = be.active_axis(spec);
-  for (int r = 0; r < 20; ++r) {
-    drive_fc(be, spec, w, 0.12 + 0.06 * (r % 2), 1);
-  }
-  EXPECT_EQ(be.active_axis(spec), axis_after);
-}
-
-TEST(AdaptiveReplan, DisabledBackendNeverReplans) {
-  k::RunOptions opt;
-  const auto spec = fc_spec(1024, 10);
-  snn::LayerWeights w;
-  w.k = 1;
-  w.in_c = spec.in_c;
-  w.out_c = spec.out_c;
-  w.v.assign(static_cast<std::size_t>(spec.in_c) * spec.out_c, 0.01f);
-  const rt::ShardedBackend be(opt, 8, /*use_threads=*/false,
-                              k::PartitionStrategy::kHybrid);
-  const auto axis0 = be.active_axis(spec);
-  drive_fc(be, spec, w, 0.15, 10);
-  EXPECT_EQ(be.replan_flips(spec), 0);
-  EXPECT_EQ(be.active_axis(spec), axis0);
-  EXPECT_DOUBLE_EQ(be.occupancy_ema(spec), -1.0);
-}
-
-TEST(AdaptiveReplan, AdaptiveBeatsStaticHybridOnColdStart) {
-  // End-to-end: over a run that starts on empty membranes, the adaptive
-  // engine's fc layer must cost no more modeled cycles than the static
-  // hybrid plan, and strictly less on the first (near-empty) timestep when
-  // a flip happened.
-  const snn::Network net = test_net();
-  const auto img = snn::make_batch(1, 6, 16, 16, 3)[0];
-  k::RunOptions opt;
-  rt::BackendConfig stat = sharded_cfg(k::PartitionStrategy::kHybrid, 8);
-  rt::BackendConfig adap = stat;
-  adap.replan.enabled = true;
-  const rt::InferenceEngine es(net, opt, stat);
-  const rt::InferenceEngine ea(net, opt, adap);
-  snn::NetworkState ss = es.make_state(), sa = ea.make_state();
-  rt::InferenceResult rs, ra;
-  const std::size_t fc = net.num_layers() - 1;
-  double fc_static = 0, fc_adaptive = 0;
-  for (int t = 0; t < 5; ++t) {
-    es.run(img, ss, rs);
-    ea.run(img, sa, ra);
-    // Spikes must be identical whatever the plan: partitioning only ever
-    // changes timing attribution.
-    ASSERT_EQ(rs.final_output.v, ra.final_output.v) << "t=" << t;
-    fc_static += rs.layers[fc].stats.cycles;
-    fc_adaptive += ra.layers[fc].stats.cycles;
-  }
-  EXPECT_LE(fc_adaptive, fc_static + 1e-9);
-  const auto* be = dynamic_cast<const rt::ShardedBackend*>(&ea.backend());
-  ASSERT_NE(be, nullptr);
-  EXPECT_LE(be->replan_flips(net.layer(fc)), 1);
 }

@@ -336,31 +336,6 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsBankedDram) {
       << "banked-DRAM steady state must not touch the heap";
 }
 
-TEST(ScratchReuse, ZeroSteadyStateAllocationsAdaptiveSharded) {
-  // Once the one axis flip (if any) has happened, the adaptive re-planner's
-  // steady state is an EMA update plus two allocation-free cost-model
-  // evaluations per layer — the pooled sharded zero-allocation contract must
-  // survive with re-planning enabled.
-  const snn::Network net = test_net();
-  const auto img = snn::make_batch(1, 9, 16, 16, 3)[0];
-  k::RunOptions opt;
-  rt::BackendConfig cfg;
-  cfg.kind = rt::BackendKind::kSharded;
-  cfg.clusters = 4;
-  cfg.shard_threads = true;
-  cfg.partition = spikestream::kernels::PartitionStrategy::kHybrid;
-  cfg.replan.enabled = true;
-  const rt::InferenceEngine engine(net, opt, cfg);
-  snn::NetworkState state = engine.make_state();
-  rt::InferenceResult res;
-  ASSERT_TRUE(warm_until_quiet(engine, img, state, res));
-  const std::size_t before = spikestream::alloc_hook::allocs();
-  for (int t = 0; t < 5; ++t) engine.run(img, state, res);
-  const std::size_t after = spikestream::alloc_hook::allocs();
-  EXPECT_EQ(after - before, 0u)
-      << "adaptive sharded steady state must not touch the heap";
-}
-
 TEST(ScratchReuse, ZeroSteadyStateAllocationsRowTiledWave) {
   // Four warm lanes of one lockstep wave on a pooled executor: input
   // compression, row tiles, timing tails and spike routing all run in the
