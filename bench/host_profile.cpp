@@ -1,9 +1,10 @@
 // Host-performance profile of the simulator itself: how fast does the
 // functional + cost pipeline execute on the machine running it? Times
-// end-to-end batch inference on the calibrated S-VGG11 for every backend and
-// reports samples/sec, ns per layer execution, and steady-state heap
-// allocations per layer (counted by a global operator-new hook), then emits
-// everything as BENCH_host.json so CI can archive a perf trajectory per PR.
+// end-to-end batch inference on the calibrated S-VGG11 for every backend
+// (after a warm-up of each row's runner) and reports samples/sec, ns per
+// layer execution, and steady-state heap allocations per layer (counted by
+// a global operator-new hook), then emits everything as BENCH_host.json so
+// CI can archive a perf trajectory per PR.
 //
 //   SPIKESTREAM_BATCH  batch size (default 8)
 //   SPIKESTREAM_REPS   timed repetitions of the batch (default 5)
@@ -40,6 +41,15 @@ double now_s() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Seconds of untimed batches each row runs before its timed reps, the
+/// warm-up perfbench's timed runs use. A fresh runner's pool workers can
+/// start out time-sliced on the submitting thread's CPU and spread over the
+/// others only about a second later: on a 4-vCPU host, jobs of 1 ms of work
+/// in 16 tasks on a new 3-thread pool took about 1.02 ms for their first
+/// 1.1 s and 0.27 ms after, and the first (analytical) row read 126.1
+/// samples/s timed at once against 353.8 after the warm-up.
+constexpr double kWarmupSeconds = 1.5;
 
 struct BackendProfile {
   std::string name;
@@ -98,7 +108,10 @@ BackendProfile profile_runner(const std::string& label, const Runner& runner,
   prof.dma_saved_mb_cold = batch_saved(runner.run_single_step(images)) /
                            (1e6 * n);
 
-  // Throughput: timed batch repetitions (the cold run doubled as warmup).
+  // Throughput: timed batch repetitions, after the warm-up.
+  for (const double w0 = now_s(); now_s() - w0 < kWarmupSeconds;) {
+    runner.run_single_step(images);
+  }
   const double t0 = now_s();
   for (int r = 0; r < reps; ++r) runner.run_single_step(images);
   const double dt = now_s() - t0;

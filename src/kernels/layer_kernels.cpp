@@ -419,28 +419,28 @@ void fc_functional_batch(const snn::LayerSpec& spec,
   }
 
   // Band width sized so one band's weight rows stay hot in the host cache
-  // while every lane sweeps them (the host-side analogue of streaming the
-  // band into SPM once per batch). Bands partition the sorted CSR index
-  // space, so each lane's rows are still added in exactly the order its
-  // serial fc_functional call would use — bit-identical currents.
+  // while every lane of this call sweeps them (the host-side analogue of
+  // streaming the band into SPM once per batch). Bands partition the sorted
+  // CSR index space, so each lane's rows are still added in exactly the
+  // order its serial fc_functional call would use — bit-identical currents.
   constexpr std::size_t kBandBytes = 32 * 1024;
   RowGather rows(weights, spec.out_c);
   const int band_rows = std::max<int>(
       1, static_cast<int>(kBandBytes /
                           std::max<std::size_t>(rows.row_bytes(), 1)));
-  // Per-lane position in its sorted index span. thread_local so the steady
-  // state reuses capacity (the batch call never nests or recurses); every
-  // other buffer lives in the lanes' own scratch arenas.
-  static thread_local std::vector<std::size_t> cursors;
-  cursors.assign(lanes.size(), 0);
+  // Every buffer, the per-lane band cursor included, lives in the lanes'
+  // own scratch arenas, so concurrent calls on disjoint lane groups share
+  // nothing and no thread keeps state of its own.
+  for (const LayerLane& lane : lanes) lane.scratch->main.band_cursor = 0;
   for (int c_lo = 0; c_lo < spec.in_c; c_lo += band_rows) {
     // int, not the CSR index type: at in_c == 65536 the last band's bound
     // does not fit in 16 bits.
     const int c_hi = std::min(spec.in_c, c_lo + band_rows);
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      const auto span = lanes[i].ifmap->at(0, 0);
-      std::size_t& cur = cursors[i];
-      rows.begin(lanes[i].scratch->main.currents.v.data());
+    for (const LayerLane& lane : lanes) {
+      const auto span = lane.ifmap->at(0, 0);
+      KernelScratch& ks = lane.scratch->main;
+      std::size_t& cur = ks.band_cursor;
+      rows.begin(ks.currents.v.data());
       for (; cur < span.size() && span[cur] < c_hi; ++cur) rows.add(span[cur]);
       rows.flush();
     }

@@ -14,8 +14,8 @@
 // LIF step — the math that must match the golden reference bit-for-bit) and a
 // *timing* pass (the mechanistic cost model). Both write into a caller-owned
 // KernelScratch so steady-state execution allocates nothing; backends run the
-// passes separately (row-tiled or band-major functional passes, then one
-// timing tail per lane; see runtime/backend.hpp).
+// passes separately (row-tiled or lane-group band-major functional passes,
+// then one timing tail per lane; see runtime/backend.hpp).
 #pragma once
 
 #include <span>
@@ -142,11 +142,15 @@ using FcBatchLane = LayerLane;
 /// Batch-scope FC functional pass: one call executes the layer for every
 /// lane in segment-major order — the fan-in row space is walked in
 /// contiguous bands, and within each band every lane's spiking rows are
-/// accumulated before advancing, so a weight band is hot (host caches /
-/// modeled SPM) exactly once per batch. Per-lane accumulation order is
-/// unchanged (bands partition the sorted CSR index space), so spikes are
-/// bit-identical to per-lane serial fc_functional calls. Each lane uses its
-/// own scratch/membrane; fills lane.scratch->main.run.out_spikes / out_nnz.
+/// accumulated before advancing, so a weight band is hot in the host caches
+/// once per call. A wave calls it once per lane group, concurrently (see
+/// runtime::AnalyticalBackend::run_batch); the modeled SPM still streams
+/// each band once per batch of segment_major_lanes samples. Per-lane
+/// accumulation order is unchanged (bands partition the sorted CSR index
+/// space), so spikes are bit-identical to per-lane serial fc_functional
+/// calls. Each lane uses its own scratch/membrane and nothing else, so
+/// calls on disjoint lanes may run concurrently; fills
+/// lane.scratch->main.run.out_spikes / out_nnz.
 void fc_functional_batch(const snn::LayerSpec& spec,
                          const snn::LayerWeights& weights,
                          std::span<const LayerLane> lanes);

@@ -49,6 +49,9 @@ struct KernelScratch {
   std::vector<double> tasks;       ///< timing pass: per-RF / per-group costs
   std::vector<double> group_counts;  ///< per-position SIMD-group spike counts
   ScheduleResult sched;            ///< steal/static schedule simulation
+  /// fc_functional_batch: this lane's position in its sorted CSR index span
+  /// while the band-major sweep walks the fan-in bands.
+  std::size_t band_cursor = 0;
 };
 
 /// Per-cluster lane of the sharded backend: the scratch one simulated
@@ -72,6 +75,9 @@ struct LayerScratch {
   snn::SpikeMap pooled;     ///< engine: OR-pool intermediate
   snn::Tensor padded;       ///< engine: encode-layer padded image
   std::vector<ShardLane> lanes;  ///< ShardedBackend: one per cluster
+  /// runtime::functional_row_tiles: row tiles of this lane still running,
+  /// counted down atomically when the lane is split into several.
+  std::size_t tiles_left = 0;
 };
 
 }  // namespace spikestream::kernels

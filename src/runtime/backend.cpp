@@ -1,7 +1,7 @@
 #include "runtime/backend.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <atomic>
 
 #include "common/check.hpp"
 #include "runtime/backend_cycle.hpp"
@@ -23,7 +23,7 @@ const char* backend_name(BackendKind k) {
 void ExecutionBackend::run_batch(const snn::LayerSpec& spec,
                                  const snn::LayerWeights& weights,
                                  std::span<const LayerLane> lanes,
-                                 WorkerPool* pool) const {
+                                 WorkerPool* pool, LaneTail tail) const {
   for_each_index(pool, lanes.size(), [&](std::size_t i) {
     const LayerLane& lane = lanes[i];
     switch (spec.kind) {
@@ -37,6 +37,7 @@ void ExecutionBackend::run_batch(const snn::LayerSpec& spec,
         run_fc(spec, weights, *lane.ifmap, *lane.membrane, *lane.scratch);
         break;
     }
+    tail(i);
   });
 }
 
@@ -148,76 +149,91 @@ const kernels::LayerRun& AnalyticalBackend::run_fc(
 void AnalyticalBackend::run_batch(const snn::LayerSpec& spec,
                                   const snn::LayerWeights& weights,
                                   std::span<const LayerLane> lanes,
-                                  WorkerPool* pool) const {
+                                  WorkerPool* pool, LaneTail tail) const {
   if (spec.kind != snn::LayerKind::kFc) {
-    functional_row_tiles(spec, weights, lanes, pool);
-    for_each_index(pool, lanes.size(), [&](std::size_t i) {
+    functional_row_tiles(spec, weights, lanes, pool, [&](std::size_t i) {
       kernels::KernelScratch& ks = lanes[i].scratch->main;
       if (spec.kind == snn::LayerKind::kEncodeConv) {
         time_encode(spec, ks);
       } else {
         time_conv(spec, *lanes[i].ifmap, ks);
       }
+      tail(i);
     });
     return;
   }
   if (lanes.size() > 1 && opt_.segment_major_lanes > 1) {
-    // Band-major functional sweep across every lane (the host-side mirror
-    // of streaming each weight band into SPM once per batch), then the
-    // usual per-lane timing pass — which charges the same deterministic
-    // amortized numbers the serial path charges.
-    kernels::fc_functional_batch(spec, weights, lanes);
-    for (const LayerLane& lane : lanes) {
-      time_fc(spec, *lane.ifmap, lane.scratch->main);
-    }
+    // Band-major functional sweeps over lane groups, about one group per
+    // pool slot: each weight band is hot in one executor's caches once per
+    // group (the host-side mirror of streaming it into SPM once per batch),
+    // and the groups run in parallel. Each group then runs its lanes'
+    // timing passes — which charge the same deterministic amortized numbers
+    // the serial path charges — and their tails.
+    const std::size_t n = lanes.size();
+    const std::size_t groups = std::min<std::size_t>(
+        n, pool != nullptr ? static_cast<std::size_t>(pool->slots()) : 1);
+    for_each_index(pool, groups, [&](std::size_t g) {
+      const std::size_t lo = g * n / groups;
+      const std::size_t hi = (g + 1) * n / groups;
+      kernels::fc_functional_batch(spec, weights, lanes.subspan(lo, hi - lo));
+      for (std::size_t i = lo; i < hi; ++i) {
+        time_fc(spec, *lanes[i].ifmap, lanes[i].scratch->main);
+        tail(i);
+      }
+    });
     return;
   }
-  ExecutionBackend::run_batch(spec, weights, lanes, pool);
+  ExecutionBackend::run_batch(spec, weights, lanes, pool, tail);
 }
 
 void functional_row_tiles(const snn::LayerSpec& spec,
                           const snn::LayerWeights& weights,
-                          std::span<const LayerLane> lanes, WorkerPool* pool) {
+                          std::span<const LayerLane> lanes, WorkerPool* pool,
+                          LaneTail done) {
   const bool encode = spec.kind == snn::LayerKind::kEncodeConv;
   const auto rows = static_cast<std::size_t>(spec.out_h());
   const std::size_t blocks = row_blocks(spec, lanes, pool);
   for (const LayerLane& lane : lanes) {
     kernels::begin_row_tiles(spec, *lane.membrane, lane.scratch->main);
   }
-  // Spike count of every tile, lane-major. The buffer is thread_local so
-  // the steady state reuses its capacity; the tasks below reach it through
-  // `fired`, never by name (a pool thread would see its own instance). A
-  // single tile uses the stack, like run_layer_batch's one-lane case. The
-  // tile count follows input density, so the buffer is reserved for its
-  // bound (one tile per output row): its capacity settles at the widest
-  // wave of the tallest layer, and a denser step never grows it.
-  static thread_local std::vector<std::size_t> fired_buf;
-  std::size_t one = 0;
-  const std::size_t tiles = lanes.size() * blocks;
-  if (tiles > 1) {
-    fired_buf.reserve(lanes.size() * rows);
-    fired_buf.assign(tiles, 0);
-  }
-  const std::span<std::size_t> fired =
-      tiles > 1 ? std::span(fired_buf) : std::span(&one, tiles);
-  for_each_index(pool, fired.size(), [&](std::size_t t) {
-    const LayerLane& lane = lanes[t / blocks];
-    const std::size_t b = t % blocks;
+  // Accumulates and fires row block `b` of `lane`; returns its spike count.
+  const auto tile = [&](const LayerLane& lane, std::size_t b) {
     const int oy0 = static_cast<int>(b * rows / blocks);
     const int oy1 = static_cast<int>((b + 1) * rows / blocks);
     kernels::KernelScratch& ks = lane.scratch->main;
-    fired[t] = encode ? kernels::encode_functional_rows(
-                            spec, weights, *lane.image, *lane.membrane, ks,
-                            oy0, oy1)
-                      : kernels::conv_functional_rows(
-                            spec, weights, *lane.ifmap, *lane.membrane, ks,
-                            oy0, oy1);
-  });
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const auto lane_tiles = fired.subspan(i * blocks, blocks);
-    lanes[i].scratch->main.run.out_nnz =
-        std::accumulate(lane_tiles.begin(), lane_tiles.end(), std::size_t{0});
+    return encode ? kernels::encode_functional_rows(
+                        spec, weights, *lane.image, *lane.membrane, ks, oy0,
+                        oy1)
+                  : kernels::conv_functional_rows(
+                        spec, weights, *lane.ifmap, *lane.membrane, ks, oy0,
+                        oy1);
+  };
+  if (blocks == 1) {
+    // One tile per lane (always so without a pool): the lane's task is its
+    // whole-layer pass and then its tail, with no shared counter.
+    for_each_index(pool, lanes.size(), [&](std::size_t i) {
+      lanes[i].scratch->main.run.out_nnz = tile(lanes[i], 0);
+      done(i);
+    });
+    return;
   }
+  // Each tile adds its spike count to the lane's out_nnz and counts down
+  // the lane's outstanding tiles. The countdown orders every tile's rows and
+  // count before the decrement that reaches zero, so the executor that
+  // finishes a lane's last tile sees the whole lane and runs its tail at
+  // once — tails fill the stragglers' gaps of this one job.
+  for (const LayerLane& lane : lanes) {
+    lane.scratch->main.run.out_nnz = 0;
+    lane.scratch->tiles_left = blocks;
+  }
+  for_each_index(pool, lanes.size() * blocks, [&](std::size_t t) {
+    const LayerLane& lane = lanes[t / blocks];
+    std::atomic_ref<std::size_t>(lane.scratch->main.run.out_nnz) +=
+        tile(lane, t % blocks);
+    if (--std::atomic_ref<std::size_t>(lane.scratch->tiles_left) == 0) {
+      done(t / blocks);
+    }
+  });
 }
 
 std::unique_ptr<ExecutionBackend> make_backend(

@@ -23,10 +23,12 @@
 // input, independent of execution order.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
 
 #include "arch/noc.hpp"
+#include "common/function_ref.hpp"
 #include "compress/csr_ifmap.hpp"
 #include "kernels/layer_kernels.hpp"
 #include "kernels/partition.hpp"
@@ -93,6 +95,11 @@ struct BackendConfig {
 /// calls pass the caller's lane array straight through.
 using kernels::LayerLane;
 
+/// Per-lane continuation of a batch-scope layer call, called with the lane's
+/// index once that lane's results are final (see ExecutionBackend::
+/// run_batch).
+using LaneTail = common::FunctionRef<void(std::size_t)>;
+
 class ExecutionBackend {
  public:
   explicit ExecutionBackend(const kernels::RunOptions& opt) : opt_(opt) {}
@@ -154,12 +161,16 @@ class ExecutionBackend {
   // deterministic (segment-major charges are amortized batch means), so a
   // backend may change only host-side execution order, locality and
   // parallelism. `pool` (null = the calling thread alone) is the wave's
-  // worker pool. The default runs each lane as one pool task; each lane's
-  // scratch/membrane must be distinct.
+  // worker pool. `tail(i)` runs exactly once per lane i, as soon as that
+  // lane's spikes and stats are final, on whichever executor finished the
+  // lane — so the caller's per-lane bookkeeping rides in this call's pool
+  // job instead of a job of its own. The default runs each lane's layer
+  // call and its tail as one pool task; each lane's scratch/membrane must
+  // be distinct.
   virtual void run_batch(const snn::LayerSpec& spec,
                          const snn::LayerWeights& weights,
-                         std::span<const LayerLane> lanes,
-                         WorkerPool* pool) const;
+                         std::span<const LayerLane> lanes, WorkerPool* pool,
+                         LaneTail tail) const;
 
   // One-shot conveniences (tests / benches): run with a private scratch and
   // return the result by value.
@@ -217,14 +228,16 @@ class AnalyticalBackend : public ExecutionBackend {
                                   kernels::LayerScratch& scratch)
       const override;
 
-  /// Conv and encode layers run as (lane x output-row-block) tiles claimed
-  /// off `pool`, then each lane's timing tail; segment-major FC waves run
-  /// one band-major functional sweep over all lanes
-  /// (kernels::fc_functional_batch), then the per-lane timing tails.
+  /// One pool job per call. Conv and encode layers run as (lane x
+  /// output-row-block) tiles claimed off `pool`; the executor that finishes
+  /// a lane's last tile runs that lane's timing tail and then `tail`.
+  /// Segment-major FC waves split the lanes into about one group per pool
+  /// slot; each group task runs a band-major functional sweep over its lanes
+  /// (kernels::fc_functional_batch), then their timing tails and `tail`s.
   /// Bit-identical to the per-lane default by construction.
   void run_batch(const snn::LayerSpec& spec, const snn::LayerWeights& weights,
-                 std::span<const LayerLane> lanes,
-                 WorkerPool* pool) const override;
+                 std::span<const LayerLane> lanes, WorkerPool* pool,
+                 LaneTail tail) const override;
 
   using ExecutionBackend::run_conv;
   using ExecutionBackend::run_encode;
@@ -247,14 +260,17 @@ class AnalyticalBackend : public ExecutionBackend {
 
 /// The functional pass of a conv or encode layer for every lane of a wave,
 /// as (lane x output-row-block) tiles claimed off `pool` (null = the calling
-/// thread alone): shapes each lane's output buffers, accumulates and fires
-/// its rows, and sums each lane's tile spike counts into its
-/// `scratch->main.run.out_nnz`. Bit-identical to the whole-layer pass for
-/// any tile count. The analytical backend follows it with each lane's timing
-/// tail; the sharded backend with its per-shard timing passes.
+/// thread alone) in one pool job: shapes each lane's output buffers,
+/// accumulates and fires its rows, and sums each lane's tile spike counts
+/// into its `scratch->main.run.out_nnz`. `done(i)` runs once per lane, on
+/// the executor that finished lane i's last tile, once its spikes and
+/// out_nnz are final. Bit-identical to the whole-layer pass for any tile
+/// count. The analytical backend's `done` is the lane's timing tail; the
+/// sharded backend runs its per-shard timing passes after the call.
 void functional_row_tiles(const snn::LayerSpec& spec,
                           const snn::LayerWeights& weights,
-                          std::span<const LayerLane> lanes, WorkerPool* pool);
+                          std::span<const LayerLane> lanes, WorkerPool* pool,
+                          LaneTail done);
 
 /// Instantiate a backend from a config. `pool` is the persistent worker pool
 /// a sharded backend should fan its shards out on (shared with the batch

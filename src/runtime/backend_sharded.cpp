@@ -162,27 +162,29 @@ bool ShardedBackend::fail_cluster(int cluster) const {
   NetworkPlan next = plan_network(cur.specs, cur.width - 1);
   next.faults = cur.faults;
   ++next.faults.degrade_replans;
+  next.faults.retire(cluster, cur.width);
   publish(std::move(next));
   return true;
 }
 
 void ShardedBackend::set_cluster_slowdown(int cluster, double factor) const {
-  if (cluster < 0 || cluster >= clusters_) return;
   std::lock_guard<std::mutex> lock(writer_mu_);
-  NetworkPlan next = epoch();
+  const NetworkPlan& cur = epoch();
+  if (cluster < 0 || cluster >= cur.width) return;
+  NetworkPlan next = cur;
   next.faults.slowdown[static_cast<std::size_t>(cluster)] =
       std::max(1.0, factor);
   publish(std::move(next));
 }
 
 void ShardedBackend::set_link_degrade(int cluster, double factor) const {
-  if (cluster < 0 || cluster >= clusters_) return;
   std::lock_guard<std::mutex> lock(writer_mu_);
-  NetworkPlan next = epoch();
-  NetworkPlan::Faults& f = next.faults;
-  f.link_derate[static_cast<std::size_t>(cluster)] = std::max(1.0, factor);
-  f.max_link_derate = *std::max_element(f.link_derate.begin(),
-                                        f.link_derate.begin() + clusters_);
+  const NetworkPlan& cur = epoch();
+  if (cluster < 0 || cluster >= cur.width) return;
+  NetworkPlan next = cur;
+  next.faults.link_derate[static_cast<std::size_t>(cluster)] =
+      std::max(1.0, factor);
+  next.faults.refresh_max_link_derate(next.width);
   publish(std::move(next));
 }
 
@@ -314,7 +316,7 @@ void ShardedBackend::apply_noc(
   // is hop latency plus the bottleneck link's serialization.
   arch::NocModel model(noc_, clusters_);
   if (ep.faults.max_link_derate > 1.0) {
-    for (int c = 0; c < clusters_; ++c) {
+    for (int c = 0; c < ep.width; ++c) {
       model.set_link_derate(
           c, ep.faults.link_derate[static_cast<std::size_t>(c)]);
     }
@@ -550,7 +552,7 @@ const kernels::LayerRun& ShardedBackend::run_conv(
   const LayerLane lane{.ifmap = &ifmap, .membrane = &membrane,
                        .scratch = &scratch};
   functional_row_tiles(spec, weights, std::span(&lane, 1),
-                       threads_ ? pool_.get() : nullptr);
+                       threads_ ? pool_.get() : nullptr, [](std::size_t) {});
   // Every path below lands its merged result in scratch.main.run, so the
   // stage-boundary handoff (no-op outside stage mode) tails all of them.
   if (plan.n() <= 1) {
@@ -609,7 +611,7 @@ const kernels::LayerRun& ShardedBackend::run_encode(
   const LayerLane lane{.membrane = &membrane, .scratch = &scratch,
                        .image = &padded_image};
   functional_row_tiles(spec, weights, std::span(&lane, 1),
-                       threads_ ? pool_.get() : nullptr);
+                       threads_ ? pool_.get() : nullptr, [](std::size_t) {});
   if (plan.n() <= 1) {
     kernels::encode_timing(spec, opt_, scratch.main);
   } else if (plan.axis == kernels::ShardAxis::kIfmapStripe) {

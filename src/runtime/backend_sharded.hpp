@@ -31,6 +31,7 @@
 // ceiling of arch/noc.hpp instead of assuming a perfect crossbar.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -137,13 +138,16 @@ class ShardedBackend : public ExecutionBackend {
   /// bit-identical across any plan, so only modeled timing degrades.
   bool fail_cluster(int cluster) const;
   /// Straggler: multiply the shard service time of one cluster slot by
-  /// `factor` >= 1 (1 restores full speed). Ids outside [0, num_clusters())
-  /// are ignored.
+  /// `factor` >= 1 (1 restores full speed). Ids outside [0,
+  /// active_clusters()), slots a fail-stop removed included, are ignored.
   void set_cluster_slowdown(int cluster, double factor) const;
   /// Derate one cluster slot's NoC injection/ejection bandwidth by
   /// `factor` >= 1. Under the legacy shared-ceiling topology the whole
-  /// fabric runs at the worst derate (a shared bus has no per-link wires).
-  /// Ids outside [0, num_clusters()) are ignored.
+  /// fabric runs at the worst derate of the active slots (a shared bus has
+  /// no per-link wires). Ids outside [0, active_clusters()) are ignored.
+  /// Slowdowns and derates follow their cluster through fail-stops: a
+  /// failed slot's leave with it, and survivors keep theirs when they are
+  /// renumbered.
   void set_link_degrade(int cluster, double factor) const;
 
   /// Clusters still in the active set (== num_clusters() when healthy).
@@ -176,10 +180,28 @@ class ShardedBackend : public ExecutionBackend {
     struct Faults {
       int degrade_replans = 0;  ///< accepted fail-stops
       /// Per cluster slot: straggler factor and NoC link derate (1 =
-      /// healthy), and the worst derate (the legacy shared-ceiling divisor).
+      /// healthy), and the worst derate over the active slots (the legacy
+      /// shared-ceiling divisor). Only the active slots [0, width) are
+      /// read.
       std::array<double, arch::NocModel::kMaxClusters> slowdown = ones();
       std::array<double, arch::NocModel::kMaxClusters> link_derate = ones();
       double max_link_derate = 1.0;
+
+      void refresh_max_link_derate(int width) {
+        max_link_derate =
+            *std::max_element(link_derate.begin(), link_derate.begin() + width);
+      }
+      /// Fail-stop of active slot `slot` out of `width`: its slowdown and
+      /// derate leave with it, and the survivors above it move down one
+      /// slot together with theirs, as the re-plan renumbers them.
+      void retire(int slot, int width) {
+        for (auto* per_slot : {&slowdown, &link_derate}) {
+          std::copy(per_slot->begin() + slot + 1, per_slot->begin() + width,
+                    per_slot->begin() + slot);
+          (*per_slot)[static_cast<std::size_t>(width - 1)] = 1.0;
+        }
+        refresh_max_link_derate(width - 1);
+      }
 
       static std::array<double, arch::NocModel::kMaxClusters> ones() {
         std::array<double, arch::NocModel::kMaxClusters> a;

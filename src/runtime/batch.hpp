@@ -14,12 +14,14 @@
 // runner switches from sample fan-out to lockstep waves
 // (InferenceEngine::run_wave) — up to that many samples advance through the
 // network layer by layer *together*, so each fan-in weight band of a
-// segmented FC layer streams once per wave instead of once per sample and
-// conv layers split into row tiles across the pool. Outputs and modeled
-// stats stay bit-identical to the per-sample path (the segment-major
-// accounting is deterministic per-sample, independent of the schedule). The
-// wave lanes are built fresh for every call, so under batch_weight_reuse
-// back-to-back calls on one runner report the same modeled DMA.
+// segmented FC layer is charged one modeled stream per wave and swept on the
+// host once per lane group (about one group per pool slot) instead of once
+// per sample, and conv layers split into row tiles across the pool. Outputs
+// and modeled stats stay bit-identical to the per-sample path (the
+// segment-major accounting is deterministic per-sample, independent of the
+// schedule). The wave lanes are built fresh for every call, so under
+// batch_weight_reuse back-to-back calls on one runner report the same
+// modeled DMA.
 #pragma once
 
 #include <cstddef>

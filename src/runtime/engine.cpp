@@ -206,12 +206,16 @@ const snn::SpikeMap* InferenceEngine::run_layer(std::size_t l,
 void InferenceEngine::run_layer_batch(std::size_t l,
                                       std::span<BatchLane> lanes,
                                       WorkerPool* pool) const {
-  // Per-lane input compression, one batch-scope backend call, per-lane
-  // metric/routing tails — all lanes advance through this layer together.
-  // The lane buffer is thread_local so the steady state reuses its capacity;
-  // the tasks below reach it through `io`, never by name (a pool thread
-  // would see its own instance). A one-lane call (run_layer) uses the stack,
-  // so stepping on a pool thread never grows that thread's buffer.
+  // Two pool jobs per layer, all lanes advancing through it together: the
+  // per-lane input compression, then one batch-scope backend call whose
+  // per-lane tail (metrics, energy, spike routing) runs on the executor that
+  // finished the lane. The input job stays a job of its own so that the
+  // caller's hooks between layers see every lane's carry before this layer
+  // compresses it. The lane buffer is thread_local so the steady state
+  // reuses its capacity; the tasks below reach it through `io`, never by
+  // name (a pool thread would see its own instance). A one-lane call
+  // (run_layer) uses the stack, so stepping on a pool thread never grows
+  // that thread's buffer.
   static thread_local std::vector<LayerLane> io_buf;
   LayerLane one;
   if (lanes.size() > 1) io_buf.resize(lanes.size());
@@ -220,12 +224,13 @@ void InferenceEngine::run_layer_batch(std::size_t l,
   for_each_index(pool, lanes.size(), [&](std::size_t i) {
     io[i] = layer_input(l, lanes[i]);
   });
-  backend_->run_batch(net_.layer(l), net_.weights(l), io, pool);
-  for_each_index(pool, lanes.size(), [&](std::size_t i) {
-    BatchLane& lane = lanes[i];
-    lane.carry = finish_layer(l, lane.state->scratch(l).main.run, *lane.state,
-                              *lane.out);
-  });
+  backend_->run_batch(net_.layer(l), net_.weights(l), io, pool,
+                      [&](std::size_t i) {
+                        BatchLane& lane = lanes[i];
+                        lane.carry = finish_layer(
+                            l, lane.state->scratch(l).main.run, *lane.state,
+                            *lane.out);
+                      });
 }
 
 void InferenceEngine::run_wave(std::span<BatchLane> lanes, int timesteps,

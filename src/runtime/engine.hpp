@@ -111,10 +111,10 @@ class InferenceEngine {
   // One lane per in-flight sample of a lockstep wave: the runners advance
   // all lanes through the same layer together, and every layer reaches the
   // backend as one ExecutionBackend::run_batch call over all lanes — a
-  // segmented FC layer then streams its weight bands once per wave instead
-  // of once per sample, and a conv layer splits into row tiles that keep
-  // every pool thread busy even in a one-lane wave. `carry` is updated in
-  // place by run_layer_batch, exactly like the pointer run_layer returns.
+  // segmented FC layer then sweeps its weight bands once per lane group
+  // instead of once per sample, and a conv layer splits into row tiles that
+  // keep every pool thread busy even in a one-lane wave. `carry` is updated
+  // in place by run_layer_batch, exactly like the pointer run_layer returns.
 
   struct BatchLane {
     const snn::Tensor* image = nullptr;
@@ -123,12 +123,13 @@ class InferenceEngine {
     InferenceResult* out = nullptr;
   };
 
-  /// Execute layer `l` for every lane: compress each lane's input, hand all
-  /// lanes to ExecutionBackend::run_batch, then route each lane's spikes —
-  /// the per-lane steps run on `pool` when one is given (lanes own distinct
-  /// states, the same aliasing contract run_layer documents). Results are
-  /// bit-identical to calling run_layer per lane in order, including
-  /// modeled stats.
+  /// Execute layer `l` for every lane: compress each lane's input (one pool
+  /// job), then hand all lanes to ExecutionBackend::run_batch, whose
+  /// per-lane tail records each lane's metrics and routes its spikes as
+  /// soon as the lane is done (the second and last job) — both jobs run on
+  /// `pool` when one is given (lanes own distinct states, the same aliasing
+  /// contract run_layer documents). Results are bit-identical to calling
+  /// run_layer per lane in order, including modeled stats.
   void run_layer_batch(std::size_t l, std::span<BatchLane> lanes,
                        WorkerPool* pool = nullptr) const;
 

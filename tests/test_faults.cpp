@@ -8,7 +8,8 @@
 //   * fault ids are active cluster slots: fail_cluster accepts an id iff it
 //     names a live slot and another cluster survives;
 //   * slowdown and link-degrade faults only stretch modeled timing; a factor
-//     of 1 restores the healthy cycles bit-exactly;
+//     of 1 restores the healthy cycles bit-exactly; they name active slots
+//     and follow their cluster through fail-stops;
 //   * faults applied while a batch runs publish new plan epochs without
 //     disturbing in-flight layers: every result keeps the healthy spikes;
 //   * the server applies structural faults at wave boundaries, contains
@@ -448,6 +449,77 @@ TEST(DegradedMode, SlowdownAndLinkDegradeOnlyStretchTiming) {
   sb->set_link_degrade(0, 1.0);
   const rt::MultiStepResult relinked = rt::run_timesteps(engine, st, img, 2);
   EXPECT_EQ(relinked.total_cycles, healthy.total_cycles);
+}
+
+TEST(DegradedMode, DeadSlotDeratesAreIgnored) {
+  // Link derates (and slowdowns) name active slots too, and follow their
+  // cluster through a fail-stop. Once a slot is gone, a derate aimed at it
+  // is ignored and one it carried leaves with it — on both fabrics, where
+  // the legacy shared ceiling used to divide by the dead slot's factor. A
+  // survivor the fail-stop renumbers keeps its own derate or slowdown, and
+  // no healthy cluster inherits the dead one's. A derate on a live slot
+  // still stretches both fabrics. The factors are large enough for the
+  // derated NoC gate and the straggler to overtake the tiny net's compute.
+  const snn::Network net = test_net();
+  const auto img = snn::make_batch(1, 17, 16, 16, 3)[0];
+  const k::RunOptions opt;
+  struct Case {
+    const char* name;
+    bool slowdown;     ///< set_cluster_slowdown(slot, 4), not a 512 derate
+    int slot;          ///< slot the fault names
+    bool before_fail;  ///< fault applied before fail_cluster(failed)
+    int failed;        ///< slot the fail-stop removes
+    bool moves;        ///< cycles rise above the fail-stop-only run
+  };
+  const Case cases[] = {
+      {"dead slot, derated after its fail-stop", false, 3, false, 3, false},
+      {"derated slot, then failed", false, 3, true, 3, false},
+      {"derated middle slot, then failed", false, 1, true, 1, false},
+      {"slowed middle slot, then failed", true, 1, true, 1, false},
+      {"live slot, derated after the fail-stop", false, 0, false, 3, true},
+      {"live slot, derated before the fail-stop", false, 1, true, 3, true},
+      {"derated survivor renumbered by the fail-stop", false, 3, true, 1, true},
+      {"slowed survivor renumbered by the fail-stop", true, 3, true, 1, true},
+  };
+  for (const auto topology :
+       {arch::NocTopology::kLegacyCeiling, arch::NocTopology::kRingQuadrant}) {
+    for (const Case& c : cases) {
+      const std::string where =
+          std::string(c.name) + (topology == arch::NocTopology::kLegacyCeiling
+                                     ? " (legacy ceiling)"
+                                     : " (ring)");
+      rt::BackendConfig cfg = sharded(4);
+      cfg.noc.topology = topology;
+      cfg.noc.model_contention = true;
+      const rt::InferenceEngine failed_only(net, opt, cfg);
+      ASSERT_TRUE(sharded_of(failed_only)->fail_cluster(c.failed)) << where;
+      snn::NetworkState fs = failed_only.make_state();
+      const rt::MultiStepResult want =
+          rt::run_timesteps(failed_only, fs, img, 2);
+
+      const rt::InferenceEngine engine(net, opt, cfg);
+      const rt::ShardedBackend* sb = sharded_of(engine);
+      ASSERT_NE(sb, nullptr);
+      const auto inject = [&] {
+        if (c.slowdown) {
+          sb->set_cluster_slowdown(c.slot, 4.0);
+        } else {
+          sb->set_link_degrade(c.slot, 512.0);
+        }
+      };
+      if (c.before_fail) inject();
+      ASSERT_TRUE(sb->fail_cluster(c.failed)) << where;
+      if (!c.before_fail) inject();
+      snn::NetworkState st = engine.make_state();
+      const rt::MultiStepResult got = rt::run_timesteps(engine, st, img, 2);
+      EXPECT_EQ(got.spike_counts, want.spike_counts) << where;
+      if (c.moves) {
+        EXPECT_GT(got.total_cycles, want.total_cycles) << where;
+      } else {
+        EXPECT_EQ(got.total_cycles, want.total_cycles) << where;
+      }
+    }
+  }
 }
 
 TEST(FaultServer, MidRunKillLosesNoRequestAndKeepsSpikes) {

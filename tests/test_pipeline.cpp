@@ -5,9 +5,11 @@
 // samples than lanes, repeated runs on one runner), the batch-level
 // weight-tile reuse semantics that ride on the per-lane scratch, and
 // row-tiled lockstep waves (InferenceEngine::run_layer_batch on a worker
-// pool) against the serial per-sample path.
+// pool) against the serial per-sample path, and the per-lane tails a wave
+// layer runs inside its backend job, checked at every after_layer hook.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -180,6 +182,105 @@ TEST(Pipeline, RowTiledWavesMatchSerialPerSamplePath) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+TEST(Pipeline, LaneTailsFinishBeforeAfterLayerHooks) {
+  // A wave layer runs each lane's metrics-and-routing tail inside the
+  // backend's pool job, on whichever executor finished the lane's last row
+  // tile or its FC lane group. Every tail must be done by the time the
+  // wave's after_layer hook fires: there, each lane's layer-l metrics must
+  // already equal a per-lane run_layer oracle bit for bit and its carry
+  // must be set. Lanes {1, 3, 5, 8} on 1, 2 and 4 slots give uneven FC lane
+  // groups (1 + 1 + 1 + 2 lanes for 5 lanes on 4 slots).
+  using BatchLane = rt::InferenceEngine::BatchLane;
+  const snn::Network net = tile_net();
+  const std::size_t layers = net.num_layers();
+  constexpr std::size_t kMaxLanes = 8;
+  constexpr int kSteps = 3;
+  const auto images = snn::make_batch(kMaxLanes, 19, 13, 13, 3);
+
+  struct Check final : rt::InferenceEngine::WaveHooks {
+    // want[lane][t]: the oracle's result of timestep t.
+    const std::vector<std::vector<rt::InferenceResult>>* want = nullptr;
+    std::string label;
+    std::size_t checked = 0;
+    void after_layer(int t, std::size_t l,
+                     std::span<BatchLane> wave) override {
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        const rt::InferenceResult& w =
+            (*want)[i][static_cast<std::size_t>(t)];
+        const rt::LayerMetrics& a = wave[i].out->layers[l];
+        const rt::LayerMetrics& b = w.layers[l];
+        const std::string at = label + " lane " + std::to_string(i) +
+                               " t=" + std::to_string(t) + " " + b.name;
+        EXPECT_EQ(a.name, b.name) << at;
+        expect_same_stats(a.stats, b.stats, at);
+        EXPECT_EQ(a.in_firing_rate, b.in_firing_rate) << at;
+        EXPECT_EQ(a.out_firing_rate, b.out_firing_rate) << at;
+        EXPECT_EQ(a.csr_bytes, b.csr_bytes) << at;
+        EXPECT_EQ(a.aer_bytes, b.aer_bytes) << at;
+        EXPECT_EQ(a.power_w, b.power_w) << at;
+#define SPK_EXPECT_SAME_PJ(field) \
+  EXPECT_EQ(a.energy.field, b.energy.field) << at << " energy." #field
+        SPK_EXPECT_SAME_PJ(int_pj);
+        SPK_EXPECT_SAME_PJ(icache_pj);
+        SPK_EXPECT_SAME_PJ(fpu_pj);
+        SPK_EXPECT_SAME_PJ(tcdm_pj);
+        SPK_EXPECT_SAME_PJ(ssr_pj);
+        SPK_EXPECT_SAME_PJ(dma_pj);
+        SPK_EXPECT_SAME_PJ(noc_pj);
+        SPK_EXPECT_SAME_PJ(static_pj);
+#undef SPK_EXPECT_SAME_PJ
+        if (l + 1 < w.layers.size()) {
+          EXPECT_NE(wave[i].carry, nullptr) << at;
+        } else {
+          EXPECT_EQ(wave[i].out->final_output.v, w.final_output.v) << at;
+        }
+        ++checked;
+      }
+    }
+  };
+
+  for (const auto fmt : {sc::FpFormat::FP16, sc::FpFormat::FP32}) {
+    k::RunOptions opt;
+    opt.fmt = fmt;
+    opt.batch_weight_reuse = true;
+    opt.segment_major_lanes = static_cast<int>(kMaxLanes);
+    const rt::InferenceEngine engine(net, opt);
+    std::vector<std::vector<rt::InferenceResult>> want(kMaxLanes);
+    for (std::size_t i = 0; i < kMaxLanes; ++i) {
+      snn::NetworkState st = engine.make_state();
+      for (int t = 0; t < kSteps; ++t) {
+        rt::InferenceResult& out = want[i].emplace_back();
+        engine.begin_sample(out);
+        const snn::SpikeMap* carry = nullptr;
+        for (std::size_t l = 0; l < layers; ++l) {
+          carry = engine.run_layer(l, &images[i], carry, st, out);
+        }
+      }
+    }
+    for (const int threads : {0, 1, 3}) {
+      rt::WorkerPool pool(threads);
+      for (const std::size_t lanes : {1, 3, 5, 8}) {
+        std::vector<snn::NetworkState> states;
+        for (std::size_t i = 0; i < lanes; ++i) {
+          states.push_back(engine.make_state());
+        }
+        std::vector<rt::InferenceResult> steps(lanes);
+        std::vector<BatchLane> wave(lanes);
+        for (std::size_t i = 0; i < lanes; ++i) {
+          wave[i] = {&images[i], nullptr, &states[i], &steps[i]};
+        }
+        Check check;
+        check.want = &want;
+        check.label = std::string(sc::fp_name(fmt)) +
+                      " threads=" + std::to_string(threads) +
+                      " lanes=" + std::to_string(lanes);
+        engine.run_wave(wave, kSteps, &pool, &check);
+        EXPECT_EQ(check.checked, lanes * layers * kSteps) << check.label;
       }
     }
   }

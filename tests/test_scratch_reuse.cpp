@@ -5,6 +5,7 @@
 // heap allocations (counted by a global operator-new hook in this binary).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "arch/dram/stream_reader.hpp"
@@ -337,43 +338,56 @@ TEST(ScratchReuse, ZeroSteadyStateAllocationsBankedDram) {
 }
 
 TEST(ScratchReuse, ZeroSteadyStateAllocationsRowTiledWave) {
-  // Four warm lanes of one lockstep wave on a pooled executor: input
-  // compression, row tiles, timing tails and spike routing all run in the
-  // lanes' own arenas (or fixed per-thread buffers), so a wave timestep
-  // stays off the heap once warmed — on the pool threads too.
+  // Warm lanes of one lockstep wave on a pooled executor: input
+  // compression, row tiles with their per-lane countdowns, timing tails,
+  // FC lane-group sweeps and spike routing all run in the lanes' own arenas
+  // (or fixed per-thread buffers), so a wave timestep stays off the heap
+  // once warmed — on the pool threads too, whichever of them a tile or a
+  // lane group lands on. 5 and 8 lanes on 4 slots split the FC layer into
+  // uneven (1 + 1 + 1 + 2) and even (2 each) lane groups.
   const snn::Network net = test_net();
-  const auto images = snn::make_batch(4, 7, 16, 16, 3);
-  k::RunOptions opt;
-  opt.segment_major_lanes = 4;
-  const rt::InferenceEngine engine(net, opt);
-  rt::WorkerPool pool(3);
-  std::vector<snn::NetworkState> states;
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    states.push_back(engine.make_state());
-  }
-  std::vector<rt::InferenceResult> steps(images.size());
-  std::vector<rt::InferenceEngine::BatchLane> wave(images.size());
-  const auto timestep = [&] {
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      engine.begin_sample(steps[i]);
-      wave[i] = {&images[i], nullptr, &states[i], &steps[i]};
-    }
-    for (std::size_t l = 0; l < net.num_layers(); ++l) {
-      engine.run_layer_batch(l, wave, &pool);
-    }
+  struct Case {
+    std::size_t lanes;
+    int segment_major_lanes;
   };
-  int quiet = 0;
-  for (int t = 0; t < 64 && quiet < 6; ++t) {
+  for (const Case c : {Case{4, 4}, Case{5, 8}, Case{8, 8}}) {
+    const std::string label = std::to_string(c.lanes) + " lanes, " +
+                              std::to_string(c.segment_major_lanes) +
+                              " segment-major lanes";
+    const auto images = snn::make_batch(c.lanes, 7, 16, 16, 3);
+    k::RunOptions opt;
+    opt.segment_major_lanes = c.segment_major_lanes;
+    const rt::InferenceEngine engine(net, opt);
+    rt::WorkerPool pool(3);
+    std::vector<snn::NetworkState> states;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      states.push_back(engine.make_state());
+    }
+    std::vector<rt::InferenceResult> steps(images.size());
+    std::vector<rt::InferenceEngine::BatchLane> wave(images.size());
+    const auto timestep = [&] {
+      for (std::size_t i = 0; i < images.size(); ++i) {
+        engine.begin_sample(steps[i]);
+        wave[i] = {&images[i], nullptr, &states[i], &steps[i]};
+      }
+      for (std::size_t l = 0; l < net.num_layers(); ++l) {
+        engine.run_layer_batch(l, wave, &pool);
+      }
+    };
+    int quiet = 0;
+    for (int t = 0; t < 64 && quiet < 6; ++t) {
+      const std::size_t before = spikestream::alloc_hook::allocs();
+      timestep();
+      quiet = spikestream::alloc_hook::allocs() == before ? quiet + 1 : 0;
+    }
+    ASSERT_GE(quiet, 6) << label << ": wave never reached allocation "
+                        << "quiescence";
     const std::size_t before = spikestream::alloc_hook::allocs();
-    timestep();
-    quiet = spikestream::alloc_hook::allocs() == before ? quiet + 1 : 0;
+    for (int t = 0; t < 5; ++t) timestep();
+    const std::size_t after = spikestream::alloc_hook::allocs();
+    EXPECT_EQ(after - before, 0u)
+        << label << ": row-tiled lockstep waves must not touch the heap";
   }
-  ASSERT_GE(quiet, 6) << "wave never reached allocation quiescence";
-  const std::size_t before = spikestream::alloc_hook::allocs();
-  for (int t = 0; t < 5; ++t) timestep();
-  const std::size_t after = spikestream::alloc_hook::allocs();
-  EXPECT_EQ(after - before, 0u)
-      << "row-tiled lockstep waves must not touch the heap";
 }
 
 TEST(ScratchReuse, ZeroSteadyStateAllocationsServerLoop) {
