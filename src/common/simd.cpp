@@ -415,6 +415,137 @@ void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
 }
 
 // ---------------------------------------------------------------------------
+// Work-stealing schedule simulation (Section III-B)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Scalar reference: a linear min-scan per task (core counts are single
+/// digits, so it beats a heap and needs no storage).
+void steal_scalar(const double* tasks, std::size_t n, int cores,
+                  double steal_cost, double* core_cycles) {
+  const auto nc = static_cast<std::size_t>(cores);
+  for (std::size_t c = 0; c < nc; ++c) core_cycles[c] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < nc; ++c) {
+      if (core_cycles[c] < core_cycles[best]) best = c;
+    }
+    // Same evaluation order as `time + steal_cost + t`, the historical
+    // priority-queue implementation's expression.
+    core_cycles[best] = core_cycles[best] + steal_cost + tasks[i];
+  }
+}
+
+#ifdef SPIKESTREAM_X86_SIMD
+
+/// Widest core count one zmm of core times holds.
+constexpr int kStealLanes = 8;
+
+/// True when the vector tier can hold `cores` core times.
+bool steal_vector(int cores) {
+  return cores >= 1 && cores <= kStealLanes && active() == Tier::kAvx512;
+}
+
+/// Lanes [0, cores) at 0, the rest at +inf, which never wins the minimum.
+__attribute__((target("avx512f"))) __m512d steal_start(int cores) {
+  return _mm512_mask_mov_pd(_mm512_set1_pd(__builtin_inf()),
+                            static_cast<__mmask8>((1u << cores) - 1u),
+                            _mm512_setzero_pd());
+}
+
+/// One claim: the earliest core (lowest index among the lanes equal to the
+/// broadcast minimum) becomes (time + steal) + task. `time + steal` is
+/// formed in every lane alongside the minimum search, off the critical
+/// path; the claimed lane then takes it plus the task. The maskz forms with
+/// an all-ones mask are the plain instructions; the unmasked intrinsics pass
+/// an undefined vector through, which GCC flags under -Wmaybe-uninitialized.
+__attribute__((target("avx512f"))) inline __m512d steal_claim(__m512d v,
+                                                              __m512d steal,
+                                                              double task) {
+  constexpr __mmask8 kAll = 0xFF;
+  const __m512d stolen = _mm512_maskz_add_pd(kAll, v, steal);
+  // Minimum over the halves, then the 128-bit pairs, then the two lanes of
+  // each pair: every lane ends up holding it.
+  __m512d m =
+      _mm512_maskz_min_pd(kAll, v, _mm512_maskz_shuffle_f64x2(kAll, v, v, 0x4E));
+  m = _mm512_maskz_min_pd(kAll, m,
+                          _mm512_maskz_shuffle_f64x2(kAll, m, m, 0xB1));
+  m = _mm512_maskz_min_pd(kAll, m, _mm512_maskz_permute_pd(kAll, m, 0x55));
+  const unsigned tied = _mm512_cmp_pd_mask(v, m, _CMP_EQ_OQ);
+  const auto first = static_cast<__mmask8>(tied & (0u - tied));
+  return _mm512_mask_add_pd(v, first, stolen, _mm512_set1_pd(task));
+}
+
+__attribute__((target("avx512f"))) void steal_store(__m512d v, int cores,
+                                                    double* core_cycles) {
+  _mm512_mask_storeu_pd(core_cycles, static_cast<__mmask8>((1u << cores) - 1u),
+                        v);
+}
+
+__attribute__((target("avx512f"))) void steal_avx512(const double* tasks,
+                                                     std::size_t n, int cores,
+                                                     double steal_cost,
+                                                     double* core_cycles) {
+  const __m512d steal = _mm512_set1_pd(steal_cost);
+  __m512d v = steal_start(cores);
+  for (std::size_t i = 0; i < n; ++i) v = steal_claim(v, steal, tasks[i]);
+  steal_store(v, cores, core_cycles);
+}
+
+/// Two lists in one loop: their claim chains are independent, so the core
+/// overlaps them.
+__attribute__((target("avx512f"))) void steal_pair_avx512(const StealList& a,
+                                                          const StealList& b,
+                                                          int cores,
+                                                          double steal_cost) {
+  const __m512d steal = _mm512_set1_pd(steal_cost);
+  __m512d va = steal_start(cores);
+  __m512d vb = va;
+  const std::size_t both = a.n < b.n ? a.n : b.n;
+  std::size_t i = 0;
+  for (; i < both; ++i) {
+    va = steal_claim(va, steal, a.tasks[i]);
+    vb = steal_claim(vb, steal, b.tasks[i]);
+  }
+  for (std::size_t j = i; j < a.n; ++j) va = steal_claim(va, steal, a.tasks[j]);
+  for (std::size_t j = i; j < b.n; ++j) vb = steal_claim(vb, steal, b.tasks[j]);
+  steal_store(va, cores, a.core_cycles);
+  steal_store(vb, cores, b.core_cycles);
+}
+
+#endif  // SPIKESTREAM_X86_SIMD
+
+}  // namespace
+
+void steal_schedule(const double* tasks, std::size_t n, int cores,
+                    double steal_cost, double* core_cycles) {
+#ifdef SPIKESTREAM_X86_SIMD
+  if (steal_vector(cores)) {
+    steal_avx512(tasks, n, cores, steal_cost, core_cycles);
+    return;
+  }
+#endif
+  steal_scalar(tasks, n, cores, steal_cost, core_cycles);
+}
+
+void steal_schedule_lists(std::span<const StealList> lists, int cores,
+                          double steal_cost) {
+  std::size_t i = 0;
+#ifdef SPIKESTREAM_X86_SIMD
+  if (steal_vector(cores)) {
+    for (; i + 2 <= lists.size(); i += 2) {
+      steal_pair_avx512(lists[i], lists[i + 1], cores, steal_cost);
+    }
+  }
+#endif
+  for (; i < lists.size(); ++i) {
+    steal_schedule(lists[i].tasks, lists[i].n, cores, steal_cost,
+                   lists[i].core_cycles);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // IEEE binary16 narrowing (FP16 weight image)
 // ---------------------------------------------------------------------------
 // vcvtps2ph with an immediate round-to-nearest-even matches the scalar

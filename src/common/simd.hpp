@@ -1,11 +1,12 @@
-// Runtime-dispatched host SIMD kernels for the three simulator hot loops:
-// the CSR nonzero-byte scan (ifmap compression), the LIF membrane step, and
-// the dense per-SIMD-group spike accumulate that feeds the schedule
-// simulation — plus the float -> binary16 narrowing that builds the FP16
-// weight image at engine construction. Each kernel has a scalar reference
-// implementation plus AVX2 and AVX-512 variants compiled with function-level
-// target attributes, so one portable binary carries every tier and picks the
-// widest one the running CPU supports (probed once via cpuid).
+// Runtime-dispatched host SIMD kernels for the simulator hot loops: the CSR
+// nonzero-byte scan (ifmap compression), the LIF membrane step, the dense
+// per-SIMD-group spike accumulate that feeds the schedule simulation and the
+// work-stealing schedule simulation itself — plus the float -> binary16
+// narrowing that builds the FP16 weight image at engine construction. Each
+// kernel has a scalar reference implementation plus AVX2 and/or AVX-512
+// variants compiled with function-level target attributes, so one portable
+// binary carries every tier and picks the widest one the running CPU
+// supports (probed once via cpuid).
 //
 // Bit-exactness contract: every tier of a kernel produces byte-identical
 // output for identical input — the vector paths are lane-wise transcriptions
@@ -21,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace spikestream::common::simd {
@@ -65,6 +67,34 @@ std::size_t lif_step(const float* cur, float* mem, std::uint8_t* spikes,
 /// per-group task costs.
 void group_spike_counts(const std::uint8_t* row, int c, int group, int groups,
                         double* counts);
+
+// --- Work-stealing schedule simulation --------------------------------------
+// Greedy list scheduling of the Section III-B work stealing
+// (kernels/scheduler.hpp): every core starts at 0; each task, in order, goes
+// to the earliest-free core (lowest index on ties), whose time becomes
+// (time + steal_cost) + task. On 1-8 cores the kAvx512 tier keeps the core
+// times in one zmm (unused lanes at +inf): the earliest core is the first set
+// bit of the mask of lanes equal to the broadcast minimum, and it takes
+// (time + steal_cost) + task with the scalar expression's two roundings in
+// its order, so every tier is bit-identical for finite costs. Above 8 cores,
+// and on the other tiers, the scalar loop runs.
+
+/// One independent task list of steal_schedule_lists.
+struct StealList {
+  const double* tasks = nullptr;
+  std::size_t n = 0;
+  double* core_cycles = nullptr;  ///< out: `cores` finish times
+};
+
+/// Schedule tasks[0..n) onto `cores` cores; writes core_cycles[0..cores).
+void steal_schedule(const double* tasks, std::size_t n, int cores,
+                    double steal_cost, double* core_cycles);
+
+/// Several independent schedules on the same core count and steal cost,
+/// advanced two at a time so each list's dependency chain hides the
+/// other's latency. Every list gets exactly what steal_schedule gives it.
+void steal_schedule_lists(std::span<const StealList> lists, int cores,
+                          double steal_cost);
 
 // --- IEEE binary16 narrowing ------------------------------------------------
 // Float -> binary16 with round-to-nearest-even: vcvtps2ph over 16 lanes

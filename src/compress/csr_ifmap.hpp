@@ -28,8 +28,8 @@ class CsrIfmap {
 
   /// Pre-reserve for maps of up to `positions` spatial positions and
   /// `nnz_cap` spikes. With the zero-sparsity worst case of a layer's input
-  /// shape, every later encode_into()/slice_rows_into() on this object is
-  /// heap-allocation-free whatever occupancy the workload reaches.
+  /// shape, every later encode_into() on this object is heap-allocation-free
+  /// whatever occupancy the workload reaches.
   void reserve(std::size_t positions, std::size_t nnz_cap) {
     s_ptr_.reserve(positions + 1);
     c_idcs_.reserve(nnz_cap);
@@ -50,7 +50,9 @@ class CsrIfmap {
   /// Copy spatial rows [y_lo, y_hi) into a caller-owned CsrIfmap whose
   /// buffers are reused (capacity retained, zero allocations once warm).
   /// Prefix sums and channel indices are rebased so `out` is a standalone
-  /// (y_hi - y_lo, w, c) map — the ifmap stripe one sharded cluster owns.
+  /// (y_hi - y_lo, w, c) map — the halo'd input a sharded stripe owns, which
+  /// the sharded backend reads in place (rows_footprint_bytes) and tests
+  /// time as the stripe's own sub-problem.
   void slice_rows_into(int y_lo, int y_hi, CsrIfmap& out) const {
     SPK_CHECK(0 <= y_lo && y_lo <= y_hi && y_hi <= h_,
               "CsrIfmap: bad row slice [" << y_lo << ", " << y_hi << ")");
@@ -106,6 +108,17 @@ class CsrIfmap {
     const std::size_t positions = static_cast<std::size_t>(h_) * w_;
     return nnz() * static_cast<std::size_t>(idx_bytes) +
            positions * static_cast<std::size_t>(idx_bytes);
+  }
+
+  /// Footprint of spatial rows [y_lo, y_hi) alone — what slice_rows_into
+  /// would copy them to — read off the prefix sums without copying.
+  std::size_t rows_footprint_bytes(int y_lo, int y_hi,
+                                   int idx_bytes = 2) const {
+    const std::size_t w = static_cast<std::size_t>(w_);
+    return footprint_from_count(
+        s_ptr_[static_cast<std::size_t>(y_hi) * w] -
+            s_ptr_[static_cast<std::size_t>(y_lo) * w],
+        y_hi - y_lo, w_, idx_bytes);
   }
 
  private:

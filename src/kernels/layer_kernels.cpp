@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#if defined(__AVX512F__) && defined(__F16C__)
+#if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
@@ -33,16 +33,6 @@ namespace {
 int n_groups(int out_c, common::FpFormat fmt) {
   const int simd = common::simd_lanes(fmt);
   return (out_c + simd - 1) / simd;
-}
-
-/// One sweep over the spikes at output position (oy, ox): per-SIMD-group
-/// spike counts into counts[0..groups). The counts are exact small-integer
-/// sums in double, so the host-SIMD tiers of common/simd.hpp may reduce them
-/// in any shape — every tier produces bit-identical counts.
-void group_counts_at(const snn::SpikeMap& out, int oy, int ox, int simd,
-                     int groups, double* counts) {
-  common::simd::group_spike_counts(&out.at(oy, ox, 0), out.c, simd, groups,
-                                   counts);
 }
 
 /// Average memory-port pressure per core per cycle for the conflict model.
@@ -228,7 +218,103 @@ void add_rows_half(float* acc, const void* const* rows, std::size_t n_rows,
     }
   }
 }
+
 #endif  // __AVX512F__ && __F16C__
+
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+#define SPIKESTREAM_NARROW_ROWS 1
+
+/// Narrow conv accumulate (out_c <= 16, e.g. the deep tower's 8-channel
+/// layers): each output position's whole receptive field accumulates in one
+/// masked zmm of float32 lanes, row by row in the reference's (kh, kw, ci)
+/// order from a zero start — lane-wise add_rows' add chain, so the currents
+/// are bit-identical — and is stored once. A position's row offsets are
+/// gathered first, sixteen CSR indices per masked load whatever a tap's
+/// spike count, so the only data-dependent branches are the accumulate
+/// loops' exits (a loop per tap mispredicts its exit on most of the
+/// few-spike taps of a narrow layer, each flushing the add chain). Two
+/// neighbouring positions accumulate side by side, so one add chain's
+/// latency hides the other's.
+void conv_rows_narrow(const snn::LayerSpec& spec,
+                      const snn::LayerWeights& weights,
+                      const compress::CsrIfmap& ifmap, snn::Tensor& currents,
+                      int oy0, int oy1) {
+  const int k = spec.k;
+  const int ow = spec.out_w();
+  const auto lanes = static_cast<__mmask16>((1u << spec.out_c) - 1u);
+  const std::uint32_t* s_ptr = ifmap.s_ptr().data();
+  const std::uint16_t* idx = ifmap.c_idcs().data();
+  const auto in_w = static_cast<std::size_t>(ifmap.w());
+  const float* w = weights.v.data();
+  const __m512i row_floats = _mm512_set1_epi32(spec.out_c);
+  const auto row = [&](std::int32_t offset) {
+    return _mm512_maskz_loadu_ps(lanes, w + offset);
+  };
+  // Float offsets into `w` of a position's rows still to add; a masked
+  // gather writes sixteen entries, so a list holds kRows + 16.
+  constexpr int kRows = 240;
+  std::int32_t lists[2][kRows + 16];
+  // Gathers position (oy, ox)'s rows into `list` and returns their count,
+  // first adding a full list into `acc` whenever one fills.
+  const auto gather = [&](int oy, int ox, std::int32_t* list, __m512& acc) {
+    int n = 0;
+    int tap = 0;
+    for (int kh = 0; kh < k; ++kh) {
+      const std::size_t p = static_cast<std::size_t>(oy + kh) * in_w +
+                            static_cast<std::size_t>(ox);
+      for (int kw = 0; kw < k; ++kw, tap += weights.in_c) {
+        const __m512i first_row = _mm512_set1_epi32(tap);
+        std::uint32_t i = s_ptr[p + kw];
+        const std::uint32_t end = s_ptr[p + kw + 1];
+        do {
+          const std::uint32_t len = std::min<std::uint32_t>(end - i, 16);
+          const __m512i ci = _mm512_maskz_cvtepu16_epi32(
+              0xFFFF, _mm256_maskz_loadu_epi16(
+                          static_cast<__mmask16>((1u << len) - 1u), idx + i));
+          _mm512_storeu_si512(
+              list + n, _mm512_mullo_epi32(_mm512_add_epi32(ci, first_row),
+                                           row_floats));
+          n += static_cast<int>(len);
+          i += len;
+          if (n > kRows) {
+            for (int j = 0; j < n; ++j) acc = _mm512_add_ps(acc, row(list[j]));
+            n = 0;
+          }
+        } while (i < end);
+      }
+    }
+    return n;
+  };
+  for (int oy = oy0; oy < oy1; ++oy) {
+    int ox = 0;
+    for (; ox + 2 <= ow; ox += 2) {
+      __m512 a0 = _mm512_setzero_ps();
+      __m512 a1 = _mm512_setzero_ps();
+      const int n0 = gather(oy, ox, lists[0], a0);
+      const int n1 = gather(oy, ox + 1, lists[1], a1);
+      const int both = std::min(n0, n1);
+      int j = 0;
+      for (; j < both; ++j) {
+        a0 = _mm512_add_ps(a0, row(lists[0][j]));
+        a1 = _mm512_add_ps(a1, row(lists[1][j]));
+      }
+      for (int j0 = j; j0 < n0; ++j0) a0 = _mm512_add_ps(a0, row(lists[0][j0]));
+      for (int j1 = j; j1 < n1; ++j1) a1 = _mm512_add_ps(a1, row(lists[1][j1]));
+      _mm512_mask_storeu_ps(&currents.at(oy, ox, 0), lanes, a0);
+      _mm512_mask_storeu_ps(&currents.at(oy, ox + 1, 0), lanes, a1);
+    }
+    for (; ox < ow; ++ox) {
+      __m512 a0 = _mm512_setzero_ps();
+      const int n0 = gather(oy, ox, lists[0], a0);
+      for (int j = 0; j < n0; ++j) a0 = _mm512_add_ps(a0, row(lists[0][j]));
+      _mm512_mask_storeu_ps(&currents.at(oy, ox, 0), lanes, a0);
+    }
+  }
+}
+
+/// Widest conv layer conv_rows_narrow accumulates: one zmm of float lanes.
+constexpr int kNarrowRows = 16;
+#endif  // __AVX512F__ && __AVX512BW__ && __AVX512VL__
 
 /// True when this layer's rows should stream as binary16.
 bool use_half_rows(const snn::LayerWeights& w, int out_c) {
@@ -325,9 +411,16 @@ std::size_t conv_functional_rows(const snn::LayerSpec& spec,
   SPK_CHECK(ifmap.h() == spec.in_h && ifmap.w() == spec.in_w &&
                 ifmap.c() == spec.in_c,
             "conv " << spec.name << ": ifmap shape mismatch");
+  snn::Tensor& currents = scratch.currents;
+#ifdef SPIKESTREAM_NARROW_ROWS
+  if (spec.out_c <= kNarrowRows) {
+    conv_rows_narrow(spec, weights, ifmap, currents, oy0, oy1);
+    return snn::lif_step_rows(spec.lif, currents, membrane,
+                              scratch.run.out_spikes, oy0, oy1);
+  }
+#endif
   const int k = spec.k;
   const int ow = spec.out_w();
-  snn::Tensor& currents = scratch.currents;
   const auto row = static_cast<std::ptrdiff_t>(ow) * spec.out_c;
   std::fill(currents.v.begin() + oy0 * row, currents.v.begin() + oy1 * row,
             0.0f);
@@ -457,47 +550,103 @@ void fc_functional_batch(const snn::LayerSpec& spec,
 // Timing passes
 // ---------------------------------------------------------------------------
 
-void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
-                 const RunOptions& opt, KernelScratch& scratch) {
+void timing_terms(const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+                  const RunOptions& opt, KernelScratch& layer) {
+  const int simd = common::simd_lanes(opt.fmt);
+  const int groups = n_groups(spec.out_c, opt.fmt);
+  const int oh = spec.out_h(), ow = spec.out_w();
+  const std::size_t positions = static_cast<std::size_t>(oh) * ow;
+  const auto stride = static_cast<std::size_t>(groups);
+  layer.group_counts.resize(positions * stride);
+  double* counts = layer.group_counts.data();
+  const std::uint8_t* spikes = layer.run.out_spikes.v.data();
+  if (spec.out_c % simd == 0) {
+    // Whole groups tile every position's channels back to back, so the map
+    // is one row of positions * groups groups: one dispatched call.
+    common::simd::group_spike_counts(
+        spikes, static_cast<int>(positions) * spec.out_c, simd,
+        static_cast<int>(positions * stride), counts);
+  } else {
+    for (std::size_t pos = 0; pos < positions; ++pos) {
+      common::simd::group_spike_counts(
+          spikes + pos * static_cast<std::size_t>(spec.out_c), spec.out_c,
+          simd, groups, counts + pos * stride);
+    }
+  }
+  if (spec.kind != snn::LayerKind::kConv) return;
+
+  // Stream lengths of each position's k*k SpVAs. The same streams repeat
+  // for every SIMD output-channel group, so every view shares them.
+  const CostParams& p = opt.cost;
+  const int k = spec.k;
+  const double stretch =
+      opt.variant == Variant::kBaseline
+          ? 1.0
+          : p.conflict_stretch(access_rate(opt.variant, p), opt.cores);
+  layer.stream_terms.resize(2 * positions);
+  double* terms = layer.stream_terms.data();
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox, terms += 2) {
+      double elems = 0;
+      double fpu_time = 0;  // FPU sequencer timeline (streams + residues)
+      for (int kh = 0; kh < k; ++kh) {
+        for (int kw = 0; kw < k; ++kw) {
+          const double s = ifmap->stream_len(oy + kh, ox + kw);
+          elems += s;
+          fpu_time += p.fadd_latency * s * stretch + p.ss_residue;
+        }
+      }
+      terms[0] = elems;
+      terms[1] = fpu_time;
+    }
+  }
+}
+
+namespace {
+
+/// The sub-problem a view plans its tiles for: its channels, and its
+/// output rows with their halo'd input rows.
+snn::LayerSpec view_spec(const snn::LayerSpec& spec, const TimingView& v) {
+  snn::LayerSpec sub = spec;
+  sub.out_c = v.c_hi - v.c_lo;
+  if (spec.kind != snn::LayerKind::kFc) {
+    sub.in_h = v.oy_hi - v.oy_lo + spec.k - 1;
+  }
+  return sub;
+}
+
+std::size_t conv_view_tasks(const snn::LayerSpec& spec, const TimingView& v,
+                            const KernelScratch& layer, const RunOptions& opt,
+                            KernelScratch& ks) {
   const CostParams& p = opt.cost;
   const common::FpFormat fmt = opt.fmt;
   const int simd = common::simd_lanes(fmt);
   const bool fp8 = fmt == common::FpFormat::FP8;
   const int k = spec.k;
-  const int oh = spec.out_h(), ow = spec.out_w();
-
-  LayerRun& run = scratch.run;
-  const snn::SpikeMap& out = run.out_spikes;
-  const int groups = n_groups(spec.out_c, fmt);
+  const int ow = spec.out_w();
+  const auto stride = static_cast<std::size_t>(n_groups(spec.out_c, fmt));
+  const int g_lo = v.c_lo / simd;
+  const int groups = n_groups(v.c_hi, fmt) - g_lo;
   const double stretch =
       opt.variant == Variant::kBaseline
           ? 1.0
           : p.conflict_stretch(access_rate(opt.variant, p), opt.cores);
 
-  KernelStats& st = run.stats;
+  KernelStats& st = ks.run.stats;
   st.reset();
   st.active_cores = opt.cores;
-  std::vector<double>& rf_costs = scratch.tasks;
+  std::vector<double>& rf_costs = ks.tasks;
   rf_costs.clear();
-  rf_costs.reserve(static_cast<std::size_t>(oh) * ow);
-  scratch.group_counts.resize(static_cast<std::size_t>(groups));
-  double* gcounts = scratch.group_counts.data();
-  for (int oy = 0; oy < oh; ++oy) {
+  rf_costs.reserve(static_cast<std::size_t>(v.oy_hi - v.oy_lo) * ow);
+  double spikes = 0;
+  for (int oy = v.oy_lo; oy < v.oy_hi; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
-      // Stream lengths of the k*k SpVAs of this receptive field. The same
-      // streams repeat for every SIMD output-channel group.
-      double elems = 0;
-      double fpu_time = 0;   // FPU sequencer timeline (streams + residues)
+      const std::size_t pos = static_cast<std::size_t>(oy) * ow + ox;
+      const double elems = layer.stream_terms[2 * pos];
+      double fpu_time = layer.stream_terms[2 * pos + 1];
       double int_time = 0;   // integer-core timeline (setup + activation)
-      for (int kh = 0; kh < k; ++kh) {
-        for (int kw = 0; kw < k; ++kw) {
-          const double s = ifmap.stream_len(oy + kh, ox + kw);
-          elems += s;
-          fpu_time += p.fadd_latency * s * stretch + p.ss_residue;
-        }
-      }
       st.fpu_ops += elems * groups;
-      group_counts_at(out, oy, ox, simd, groups, gcounts);
+      const double* gcounts = layer.group_counts.data() + pos * stride + g_lo;
 
       double rf = 0;
       if (opt.variant == Variant::kSpikeStream) {
@@ -505,6 +654,7 @@ void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
         int_time = p.steal_cost + p.ss_setup * k * k * groups;
         for (int g = 0; g < groups; ++g) {
           const double gs = gcounts[g];
+          spikes += gs;
           int_time += activation_cycles(p, simd, gs, fp8);
           count_activation(st, p, simd, gs, fp8);
         }
@@ -523,6 +673,7 @@ void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
         int_time = p.steal_cost + p.dense_setup * k * k * groups;
         for (int g = 0; g < groups; ++g) {
           const double gs = gcounts[g];
+          spikes += gs;
           int_time += activation_cycles(p, simd, gs, fp8);
           count_activation(st, p, simd, gs, fp8);
         }
@@ -538,6 +689,7 @@ void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
              groups;
         for (int g = 0; g < groups; ++g) {
           const double gs = gcounts[g];
+          spikes += gs;
           rf += activation_cycles(p, simd, gs, fp8);
           count_activation(st, p, simd, gs, fp8);
         }
@@ -547,34 +699,32 @@ void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
       rf_costs.push_back(rf);
     }
   }
-
-  schedule_into(opt, rf_costs, scratch.sched);
-  st.core_cycles = scratch.sched.core_cycles;
-  st.compute_cycles = scratch.sched.makespan + p.icache_layer_warmup;
-
-  run.plan = plan_layer(
-      spec, fmt, static_cast<double>(ifmap.footprint_bytes()),
-      static_cast<double>(
-          compress::CsrIfmap::footprint_from_count(run.out_nnz, oh, ow)),
-      p, 128.0 * 1024, opt.double_buffer);
-  finish_timing(opt, scratch);
+  return static_cast<std::size_t>(spikes);
 }
 
-void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
-               const RunOptions& opt, KernelScratch& scratch) {
+std::size_t fc_view_tasks(const snn::LayerSpec& spec,
+                          const compress::CsrIfmap& ifmap, const TimingView& v,
+                          const KernelScratch& layer, const RunOptions& opt,
+                          KernelScratch& ks) {
   const CostParams& p = opt.cost;
   const common::FpFormat fmt = opt.fmt;
   const int simd = common::simd_lanes(fmt);
   const bool fp8 = fmt == common::FpFormat::FP8;
+  const int g_lo = v.c_lo / simd;
+  const int groups = n_groups(v.c_hi, fmt) - g_lo;
+  const double* gcounts = layer.group_counts.data() + g_lo;
+  double spikes = 0;
+  for (int g = 0; g < groups; ++g) spikes += gcounts[g];
+  const auto out_nnz = static_cast<std::size_t>(spikes);
 
-  LayerRun& run = scratch.run;
+  LayerRun& run = ks.run;
+  const snn::LayerSpec sub = view_spec(spec, v);
   run.plan = plan_layer(
-      spec, fmt, static_cast<double>(ifmap.footprint_bytes()),
+      sub, fmt, static_cast<double>(ifmap.footprint_bytes()),
       static_cast<double>(
-          compress::CsrIfmap::footprint_from_count(run.out_nnz, 1, 1)),
+          compress::CsrIfmap::footprint_from_count(out_nnz, 1, 1)),
       p, 128.0 * 1024, opt.double_buffer, opt.segment_major_lanes);
 
-  const int groups = n_groups(spec.out_c, fmt);
   const double s_total = static_cast<double>(ifmap.nnz());
   const int segs = run.plan.in_segments;
   const double s_seg = s_total / segs;
@@ -586,12 +736,9 @@ void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
   KernelStats& st = run.stats;
   st.reset();
   st.active_cores = opt.cores;
-  std::vector<double>& tasks = scratch.tasks;
+  std::vector<double>& tasks = ks.tasks;
   tasks.clear();
   tasks.reserve(static_cast<std::size_t>(groups));
-  scratch.group_counts.resize(static_cast<std::size_t>(groups));
-  double* gcounts = scratch.group_counts.data();
-  group_counts_at(run.out_spikes, 0, 0, simd, groups, gcounts);
   for (int g = 0; g < groups; ++g) {
     const double gs = gcounts[g];
     double t = 0;
@@ -624,27 +771,12 @@ void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
     count_activation(st, p, simd, gs, fp8);
     tasks.push_back(t);
   }
-  ScheduleResult& sched = scratch.sched;
-  schedule_into(opt, tasks, sched);
-  // Index pre-scaling pass (base ISA lacks strided indirect streams, Section
-  // VI): performed once, split across cores, before the group streams start.
-  // With the proposed extension an index addresses a weight row directly and
-  // the pass disappears.
-  double prescale = 0.0;
-  if (opt.variant == Variant::kSpikeStream && !opt.strided_indirect_ext) {
-    prescale = s_total * p.fc_prescale_per_spike / opt.cores;
-    st.int_instrs += s_total * p.fc_prescale_per_spike;
-  }
-  for (double& c : sched.core_cycles) c += prescale;
-  sched.makespan += prescale;
-
-  st.core_cycles = sched.core_cycles;
-  st.compute_cycles = sched.makespan + p.icache_layer_warmup;
-  finish_timing(opt, scratch);
+  return out_nnz;
 }
 
-void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
-                   KernelScratch& scratch) {
+std::size_t encode_view_tasks(const snn::LayerSpec& spec, const TimingView& v,
+                              const KernelScratch& layer,
+                              const RunOptions& opt, KernelScratch& ks) {
   const CostParams& p = opt.cost;
   const common::FpFormat fmt = opt.fmt;
   const int simd = common::simd_lanes(fmt);
@@ -652,42 +784,30 @@ void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
 
   // Conv-as-matmul over the im2row stream: each core owns a set of output-
   // channel groups (Section III-F) and walks all output positions.
-  LayerRun& run = scratch.run;
-  const int groups = n_groups(spec.out_c, fmt);
+  const auto stride = static_cast<std::size_t>(n_groups(spec.out_c, fmt));
+  const int g_lo = v.c_lo / simd;
+  const int g_hi = n_groups(v.c_hi, fmt);
   const double dot_len = static_cast<double>(spec.k) * spec.k * spec.in_c;
-  const int oh = spec.out_h(), ow = spec.out_w();
+  const int ow = spec.out_w();
   const double stretch =
       opt.variant == Variant::kBaseline
           ? 1.0
           : p.conflict_stretch(2.0 / p.dense_ii(), opt.cores);
 
-  KernelStats& st = run.stats;
+  KernelStats& st = ks.run.stats;
   st.reset();
   st.active_cores = opt.cores;
-
-  // One sweep over the output spikes fills the per-(position, group) counts
-  // the group-major timing loops below consume.
-  const std::size_t positions = static_cast<std::size_t>(oh) * ow;
-  scratch.group_counts.resize(positions * static_cast<std::size_t>(groups));
-  double* gcounts = scratch.group_counts.data();
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      const std::size_t pos = static_cast<std::size_t>(oy) * ow + ox;
-      group_counts_at(run.out_spikes, oy, ox, simd, groups,
-                      gcounts + pos * static_cast<std::size_t>(groups));
-    }
-  }
-
-  std::vector<double>& tasks = scratch.tasks;
+  std::vector<double>& tasks = ks.tasks;
   tasks.clear();
-  tasks.reserve(static_cast<std::size_t>(groups));
-  for (int g = 0; g < groups; ++g) {
+  tasks.reserve(static_cast<std::size_t>(g_hi - g_lo));
+  double spikes = 0;
+  for (int g = g_lo; g < g_hi; ++g) {
     double fpu_time = 0, int_time = 0, t = 0;
-    for (int oy = 0; oy < oh; ++oy) {
+    for (int oy = v.oy_lo; oy < v.oy_hi; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
         const std::size_t pos = static_cast<std::size_t>(oy) * ow + ox;
-        const double gs =
-            gcounts[pos * static_cast<std::size_t>(groups) + g];
+        const double gs = layer.group_counts[pos * stride + g];
+        spikes += gs;
         const double act = activation_cycles(p, simd, gs, fp8);
         count_activation(st, p, simd, gs, fp8);
         st.fpu_ops += dot_len;
@@ -710,12 +830,114 @@ void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
     }
     tasks.push_back(t);
   }
-  schedule_into(opt, tasks, scratch.sched);
-  st.core_cycles = scratch.sched.core_cycles;
-  st.compute_cycles = scratch.sched.makespan + p.icache_layer_warmup;
+  return static_cast<std::size_t>(spikes);
+}
 
-  run.plan = plan_encode_layer(spec, fmt, p, 128.0 * 1024, opt.double_buffer);
-  finish_timing(opt, scratch);
+/// The four timing phases on one whole layer.
+void time_layer(const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+                const RunOptions& opt, KernelScratch& scratch) {
+  timing_terms(spec, ifmap, opt, scratch);
+  const TimingView all = full_view(spec);
+  view_tasks(spec, ifmap, all, scratch, opt, scratch);
+  schedule_into(opt, scratch.tasks, scratch.sched);
+  finish_view(spec, ifmap, all, opt, scratch);
+}
+
+}  // namespace
+
+std::size_t view_tasks(const snn::LayerSpec& spec,
+                       const compress::CsrIfmap* ifmap, const TimingView& v,
+                       const KernelScratch& layer, const RunOptions& opt,
+                       KernelScratch& ks) {
+  switch (spec.kind) {
+    case snn::LayerKind::kConv:
+      return conv_view_tasks(spec, v, layer, opt, ks);
+    case snn::LayerKind::kFc:
+      return fc_view_tasks(spec, *ifmap, v, layer, opt, ks);
+    case snn::LayerKind::kEncodeConv:
+      return encode_view_tasks(spec, v, layer, opt, ks);
+  }
+  return 0;
+}
+
+void schedule_views(const RunOptions& opt, std::span<KernelScratch> views) {
+  if (!opt.workload_stealing) {
+    for (KernelScratch& ks : views) schedule_into(opt, ks.tasks, ks.sched);
+    return;
+  }
+  constexpr std::size_t kChunk = 8;
+  std::array<common::simd::StealList, kChunk> lists;
+  const auto cores = static_cast<std::size_t>(opt.cores);
+  for (std::size_t i = 0; i < views.size(); i += kChunk) {
+    const std::size_t n = std::min(kChunk, views.size() - i);
+    for (std::size_t j = 0; j < n; ++j) {
+      KernelScratch& ks = views[i + j];
+      ks.sched.core_cycles.resize(cores);
+      lists[j] = {ks.tasks.data(), ks.tasks.size(),
+                  ks.sched.core_cycles.data()};
+    }
+    common::simd::steal_schedule_lists(std::span(lists.data(), n), opt.cores,
+                                       opt.cost.steal_cost);
+    for (std::size_t j = 0; j < n; ++j) {
+      ScheduleResult& r = views[i + j].sched;
+      r.makespan = makespan_of(r.core_cycles);
+    }
+  }
+}
+
+void finish_view(const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+                 const TimingView& v, const RunOptions& opt,
+                 KernelScratch& ks) {
+  const CostParams& p = opt.cost;
+  LayerRun& run = ks.run;
+  KernelStats& st = run.stats;
+  ScheduleResult& sched = ks.sched;
+  if (spec.kind == snn::LayerKind::kFc) {
+    // Index pre-scaling pass (base ISA lacks strided indirect streams,
+    // Section VI): performed once, split across cores, before the group
+    // streams start. With the proposed extension an index addresses a
+    // weight row directly and the pass disappears.
+    const double s_total = static_cast<double>(ifmap->nnz());
+    double prescale = 0.0;
+    if (opt.variant == Variant::kSpikeStream && !opt.strided_indirect_ext) {
+      prescale = s_total * p.fc_prescale_per_spike / opt.cores;
+      st.int_instrs += s_total * p.fc_prescale_per_spike;
+    }
+    for (double& c : sched.core_cycles) c += prescale;
+    sched.makespan += prescale;
+  }
+  st.core_cycles = sched.core_cycles;
+  st.compute_cycles = sched.makespan + p.icache_layer_warmup;
+
+  if (spec.kind == snn::LayerKind::kConv) {
+    const snn::LayerSpec sub = view_spec(spec, v);
+    run.plan = plan_layer(
+        sub, opt.fmt,
+        static_cast<double>(
+            ifmap->rows_footprint_bytes(v.oy_lo, v.oy_hi + spec.k - 1)),
+        static_cast<double>(compress::CsrIfmap::footprint_from_count(
+            run.out_nnz, sub.out_h(), sub.out_w())),
+        p, 128.0 * 1024, opt.double_buffer);
+  } else if (spec.kind == snn::LayerKind::kEncodeConv) {
+    run.plan = plan_encode_layer(view_spec(spec, v), opt.fmt, p, 128.0 * 1024,
+                                 opt.double_buffer);
+  }
+  finish_timing(opt, ks);
+}
+
+void conv_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
+                 const RunOptions& opt, KernelScratch& scratch) {
+  time_layer(spec, &ifmap, opt, scratch);
+}
+
+void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
+               const RunOptions& opt, KernelScratch& scratch) {
+  time_layer(spec, &ifmap, opt, scratch);
+}
+
+void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
+                   KernelScratch& scratch) {
+  time_layer(spec, nullptr, opt, scratch);
 }
 
 void fc_fanin_shard_timing(const snn::LayerSpec& spec,
@@ -727,12 +949,12 @@ void fc_fanin_shard_timing(const snn::LayerSpec& spec,
   const common::FpFormat fmt = opt.fmt;
 
   // CSR channel indices are sorted, so the spikes this cluster owns are one
-  // contiguous run of the index array.
+  // contiguous run of the index array. Compare in int, not the CSR index
+  // type: at in_c == 65536 the last shard's bound does not fit in 16 bits.
   const auto span = ifmap.at(0, 0);
-  const auto lo_it = std::lower_bound(span.begin(), span.end(),
-                                      static_cast<std::uint16_t>(c_lo));
-  const auto hi_it = std::lower_bound(span.begin(), span.end(),
-                                      static_cast<std::uint16_t>(c_hi));
+  const auto below = [](std::uint16_t ci, int bound) { return ci < bound; };
+  const auto lo_it = std::lower_bound(span.begin(), span.end(), c_lo, below);
+  const auto hi_it = std::lower_bound(span.begin(), span.end(), c_hi, below);
   const double s_total = static_cast<double>(hi_it - lo_it);
 
   // This cluster's slice of the layer: its weight-row band plus its ifmap

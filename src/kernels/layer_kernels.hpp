@@ -75,7 +75,7 @@ struct RunOptions {
   /// layer only when it wins net of spill (TilePlan::segment_major). All
   /// charges are per-sample batch means, so modeled stats stay independent
   /// of lane assignment and execution order — a batch-scope run
-  /// (ExecutionBackend::run_fc_batch) and the serial per-sample path produce
+  /// (ExecutionBackend::run_batch) and the serial per-sample path produce
   /// bit-identical spikes *and* cycles. Set it to the steady batch width the
   /// runner actually drives (BatchRunner / PipelinedBatchRunner switch to
   /// lockstep waves of this many samples when it is >= 2).
@@ -107,9 +107,11 @@ void encode_functional(const snn::LayerSpec& spec,
 // Tiles write disjoint rows, and every output element is still produced by
 // one call adding its receptive-field rows in (kh, kw, ci) order — the conv
 // call sweeps its tile once per kernel row kh, each sweep continuing every
-// element's add chain — so any row split is bit-identical to the
-// whole-layer pass. The calls return the tile's spike count; the caller sums
-// them into scratch.run.out_nnz.
+// element's add chain, or, for layers of at most 16 output channels on
+// AVX-512 hosts, adds a position's whole receptive field in one register —
+// so any row split is bit-identical to the whole-layer pass. The calls
+// return the tile's spike count; the caller sums them into
+// scratch.run.out_nnz.
 
 /// Shape `scratch.currents` / `scratch.run.out_spikes` for the layer's output
 /// (checks that `membrane` has that shape).
@@ -166,6 +168,50 @@ void fc_timing(const snn::LayerSpec& spec, const compress::CsrIfmap& ifmap,
                const RunOptions& opt, KernelScratch& scratch);
 void encode_timing(const snn::LayerSpec& spec, const RunOptions& opt,
                    KernelScratch& scratch);
+
+// --- timing views (output-channel tiles and row stripes) ---------------------
+// The timing passes above, split so that several clusters' shares of one
+// layer call are timed in place from its full-width spikes and input: the
+// per-layer terms once, then each view's tasks, all views' schedules in one
+// interleaved call, and each view's DMA plan. A view's stats are exactly
+// what the whole pass gives on the view's own sub-problem (its channel slice
+// of the spikes, or its output rows with their halo'd input rows); the full
+// view is the whole pass (conv_timing, encode_timing and fc_timing are the
+// four phases on it).
+
+/// Output channels [c_lo, c_hi) (c_lo on a SIMD-group boundary) of output
+/// rows [oy_lo, oy_hi) of one layer.
+struct TimingView {
+  int c_lo = 0, c_hi = 0;
+  int oy_lo = 0, oy_hi = 0;
+};
+/// Every channel and row of `spec`.
+inline TimingView full_view(const snn::LayerSpec& spec) {
+  return {0, spec.out_c, 0, spec.out_h()};
+}
+
+/// Per-layer terms every view reads, into `layer`: the full-width
+/// per-position SIMD-group spike counts of layer.run.out_spikes and, for a
+/// conv layer, each output position's stream elements and FPU time over its
+/// k*k SpVAs of `ifmap` (unused by encode layers; may be null there).
+void timing_terms(const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+                  const RunOptions& opt, KernelScratch& layer);
+/// View `v`'s task costs and activity counters, from `layer`'s terms, into
+/// ks.tasks and ks.run.stats (an FC view also plans its tiles into
+/// ks.run.plan here: its tasks depend on the fan-in segmentation, which
+/// needs `out_nnz`). Returns the view's spike count; the caller stores it
+/// in ks.run.out_nnz before finish_view. `layer` and `ks` may alias.
+std::size_t view_tasks(const snn::LayerSpec& spec,
+                       const compress::CsrIfmap* ifmap, const TimingView& v,
+                       const KernelScratch& layer, const RunOptions& opt,
+                       KernelScratch& ks);
+/// Each view's schedule simulation of its ks.tasks into ks.sched; work
+/// stealing runs the lists interleaved (common::simd::steal_schedule_lists).
+void schedule_views(const RunOptions& opt, std::span<KernelScratch> views);
+/// A scheduled view's cycles, DMA plan and DMA timeline into ks.run.
+void finish_view(const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+                 const TimingView& v, const RunOptions& opt,
+                 KernelScratch& ks);
 
 // --- fan-in shard timing (FC partial-sum sharding) ---------------------------
 // An FC layer partitioned along its fan-in (kernels/partition.hpp, axis

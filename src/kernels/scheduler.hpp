@@ -9,6 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "common/simd.hpp"
+
 namespace spikestream::kernels {
 
 struct ScheduleResult {
@@ -25,25 +27,24 @@ struct ScheduleResult {
   }
 };
 
+/// Latest core finish time (0 for no cores).
+inline double makespan_of(std::span<const double> core_cycles) {
+  double m = 0;
+  for (double c : core_cycles) m = std::max(m, c);
+  return m;
+}
+
 /// Dynamic workload stealing into a caller-owned result (scratch reuse, no
 /// allocations once `core_cycles` capacity is warm): tasks claimed in order
 /// by the earliest-free core (lowest index on ties, matching the atomic
-/// next_rf fetch); each claim pays `steal_cost` cycles. Core counts are
-/// single digits, so a linear min-scan beats a heap and needs no storage.
+/// next_rf fetch); each claim pays `steal_cost` cycles. Runs on the widest
+/// host SIMD tier (common::simd::steal_schedule).
 inline void steal_schedule_into(std::span<const double> task_cycles, int cores,
                                 double steal_cost, ScheduleResult& r) {
-  r.core_cycles.assign(static_cast<std::size_t>(cores), 0.0);
-  r.makespan = 0;
-  for (double t : task_cycles) {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < r.core_cycles.size(); ++c) {
-      if (r.core_cycles[c] < r.core_cycles[best]) best = c;
-    }
-    // Same evaluation order as `time + steal_cost + t` so results stay
-    // bit-identical to the historical priority-queue implementation.
-    r.core_cycles[best] = r.core_cycles[best] + steal_cost + t;
-  }
-  for (double c : r.core_cycles) r.makespan = std::max(r.makespan, c);
+  r.core_cycles.resize(static_cast<std::size_t>(cores));
+  common::simd::steal_schedule(task_cycles.data(), task_cycles.size(), cores,
+                               steal_cost, r.core_cycles.data());
+  r.makespan = makespan_of(r.core_cycles);
 }
 
 /// Dynamic workload stealing: tasks claimed in order by the earliest-free
@@ -59,11 +60,10 @@ inline ScheduleResult steal_schedule(std::span<const double> task_cycles,
 inline void static_schedule_into(std::span<const double> task_cycles,
                                  int cores, ScheduleResult& r) {
   r.core_cycles.assign(static_cast<std::size_t>(cores), 0.0);
-  r.makespan = 0;
   for (std::size_t i = 0; i < task_cycles.size(); ++i) {
     r.core_cycles[i % static_cast<std::size_t>(cores)] += task_cycles[i];
   }
-  for (double c : r.core_cycles) r.makespan = std::max(r.makespan, c);
+  r.makespan = makespan_of(r.core_cycles);
 }
 
 /// Static round-robin pre-assignment (ablation baseline): core i gets tasks

@@ -47,22 +47,15 @@ struct KernelScratch {
   bool weights_warm = false;
   snn::Tensor currents;            ///< synaptic-current accumulator plane
   std::vector<double> tasks;       ///< timing pass: per-RF / per-group costs
-  std::vector<double> group_counts;  ///< per-position SIMD-group spike counts
+  /// Timing terms of a whole layer call (kernels::timing_terms): full-width
+  /// per-position SIMD-group spike counts, and a conv layer's per-position
+  /// stream elements and FPU time.
+  std::vector<double> group_counts;
+  std::vector<double> stream_terms;
   ScheduleResult sched;            ///< steal/static schedule simulation
   /// fc_functional_batch: this lane's position in its sorted CSR index span
   /// while the band-major sweep walks the fan-in bands.
   std::size_t band_cursor = 0;
-};
-
-/// Per-cluster lane of the sharded backend: the scratch one simulated
-/// cluster's timing pass runs in. The layer's spikes come from one
-/// full-width functional pass; `ks.run.out_spikes` holds this shard's slice
-/// of them (channels or output rows). Conv ifmap stripes additionally carry
-/// their halo'd CSR input rows, which set the stripe's stream lengths and
-/// footprint. All buffers grow on first use and are reused afterwards.
-struct ShardLane {
-  KernelScratch ks;
-  compress::CsrIfmap csr;   ///< conv ifmap stripe: halo'd CSR row slice
 };
 
 /// Per-(state, layer) arena: the main execution lane plus the engine-side
@@ -74,7 +67,9 @@ struct LayerScratch {
   snn::SpikeMap routed;     ///< engine: pooled/padded/flattened output carry
   snn::SpikeMap pooled;     ///< engine: OR-pool intermediate
   snn::Tensor padded;       ///< engine: encode-layer padded image
-  std::vector<ShardLane> lanes;  ///< ShardedBackend: one per cluster
+  /// ShardedBackend: one timing-pass scratch per planned cluster. Shards
+  /// time their view of `main`'s full-width spikes and terms in place.
+  std::vector<KernelScratch> lanes;
   /// runtime::functional_row_tiles: row tiles of this lane still running,
   /// counted down atomically when the lane is split into several.
   std::size_t tiles_left = 0;

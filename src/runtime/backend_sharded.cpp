@@ -10,33 +10,19 @@ namespace spikestream::runtime {
 
 namespace {
 
-/// Copy channels [lo, hi) of the layer's full-width spikes into a shard's
-/// compact map (reused capacity); returns the slice's spike count.
-std::size_t slice_channels_into(const snn::SpikeMap& t, int lo, int hi,
-                                snn::SpikeMap& out) {
-  out.reshape(t.h, t.w, hi - lo);
-  const std::uint8_t* src = t.v.data() + lo;
-  std::uint8_t* dst = out.v.data();
-  const std::size_t positions =
-      static_cast<std::size_t>(t.h) * static_cast<std::size_t>(t.w);
-  const std::size_t n = static_cast<std::size_t>(hi - lo);
-  for (std::size_t p = 0; p < positions; ++p) {
-    std::copy_n(src + p * static_cast<std::size_t>(t.c), n, dst + p * n);
+/// Shard `s`'s view of the layer: its channel tile or its output rows.
+kernels::TimingView view_of(const kernels::LayerPlan& plan, std::size_t s,
+                            const snn::LayerSpec& spec) {
+  const kernels::ShardRange r = plan.shards[s];
+  kernels::TimingView v = kernels::full_view(spec);
+  if (plan.axis == kernels::ShardAxis::kIfmapStripe) {
+    v.oy_lo = r.lo;
+    v.oy_hi = r.hi;
+  } else {
+    v.c_lo = r.lo;
+    v.c_hi = r.hi;
   }
-  return snn::spike_count(out);
-}
-
-/// Copy spatial rows [lo, hi) of the layer's full-width spikes into a
-/// shard's compact map (one block copy: rows are contiguous in HWC); returns
-/// the slice's spike count.
-std::size_t slice_rows_into(const snn::SpikeMap& t, int lo, int hi,
-                            snn::SpikeMap& out) {
-  out.reshape(hi - lo, t.w, t.c);
-  const std::size_t row =
-      static_cast<std::size_t>(t.w) * static_cast<std::size_t>(t.c);
-  std::copy_n(t.v.data() + static_cast<std::size_t>(lo) * row,
-              static_cast<std::size_t>(hi - lo) * row, out.v.data());
-  return snn::spike_count(out);
+  return v;
 }
 
 }  // namespace
@@ -193,31 +179,21 @@ void ShardedBackend::presize_state(snn::NetworkState& state,
   ExecutionBackend::presize_state(state, net);  // worst-case main arenas
   const NetworkPlan& ep = epoch();
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    const snn::LayerSpec& spec = net.layer(l);
     NetworkPlan::Layer miss;
-    const kernels::LayerPlan& plan = layer_of(ep, spec, miss).plan;
-    if (plan.n() <= 1) continue;
+    const kernels::LayerPlan& plan = layer_of(ep, net.layer(l), miss).plan;
     kernels::LayerScratch& scratch = state.scratch(l);
-    if (scratch.lanes.size() < plan.n()) scratch.lanes.resize(plan.n());
-    if (plan.axis != kernels::ShardAxis::kIfmapStripe) continue;
-    for (std::size_t s = 0; s < plan.n(); ++s) {
-      // Halo'd input stripe, zero-sparsity worst case.
-      const std::size_t in_rows =
-          static_cast<std::size_t>(plan.shards[s].extent() + spec.k - 1);
-      const std::size_t positions =
-          in_rows * static_cast<std::size_t>(spec.in_w);
-      scratch.lanes[s].csr.reserve(
-          positions, positions * static_cast<std::size_t>(spec.in_c));
+    if (plan.n() > 1 && scratch.lanes.size() < plan.n()) {
+      scratch.lanes.resize(plan.n());
     }
   }
 }
 
 bool ShardedBackend::pool_worthwhile(const snn::LayerSpec& spec) const {
-  // Output elements approximate a shard timing pass's host work (the spike
-  // slice and the group counts are both O(out elements)); below the cutoff
-  // the pool handoff and worker wakeups dominate, so the submitting thread
-  // runs the shards itself. Simulated timing still models `clusters_`
-  // parallel clusters.
+  // Output elements approximate the shards' task-building work (each reads
+  // its share of the per-position group counts); below the cutoff the pool
+  // handoff and worker wakeups dominate, so the submitting thread runs the
+  // shards itself. Simulated timing still models `clusters_` parallel
+  // clusters.
   const double elems = static_cast<double>(spec.out_h()) * spec.out_w() *
                        static_cast<double>(spec.out_c);
   return elems >= static_cast<double>(min_work_);
@@ -234,6 +210,24 @@ void ShardedBackend::for_shards(
                       [&fn](std::size_t, std::size_t i) { fn(i); });
 }
 
+void ShardedBackend::time_shards(const kernels::LayerPlan& plan,
+                                 const snn::LayerSpec& spec,
+                                 const compress::CsrIfmap* ifmap,
+                                 kernels::LayerScratch& scratch) const {
+  const std::size_t n = plan.n();
+  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
+  kernels::timing_terms(spec, ifmap, opt_, scratch.main);
+  const std::span<kernels::KernelScratch> lanes(scratch.lanes.data(), n);
+  for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
+    lanes[s].run.out_nnz = kernels::view_tasks(
+        spec, ifmap, view_of(plan, s, spec), scratch.main, opt_, lanes[s]);
+  });
+  kernels::schedule_views(opt_, lanes);
+  for (std::size_t s = 0; s < n; ++s) {
+    kernels::finish_view(spec, ifmap, view_of(plan, s, spec), opt_, lanes[s]);
+  }
+}
+
 // Each shard's timing pass ran the tile planner on its own sub-spec, so
 // under the banked DRAM model every cluster prices its streams against a
 // private DRAM channel: merge_parallel takes the max of the per-channel DMA
@@ -248,7 +242,7 @@ void ShardedBackend::merge_shard_stats(const NetworkPlan& ep,
   double slowest_eff = -1.0;
   double eff_max = 0.0;
   for (std::size_t s = 0; s < n; ++s) {
-    const kernels::LayerRun& run = scratch.lanes[s].ks.run;
+    const kernels::LayerRun& run = scratch.lanes[s].run;
     if (s == 0) {
       merged.stats = run.stats;
     } else {
@@ -269,7 +263,7 @@ void ShardedBackend::merge_shard_stats(const NetworkPlan& ep,
     }
   }
   if (eff_max > merged.stats.cycles) merged.stats.cycles = eff_max;
-  merged.plan = scratch.lanes[slowest].ks.run.plan;
+  merged.plan = scratch.lanes[slowest].run.plan;
 }
 
 double ShardedBackend::merge_stripe_shards(
@@ -280,7 +274,7 @@ double ShardedBackend::merge_stripe_shards(
   for (std::size_t s = 1; s < plan.n(); ++s) {
     gather_bytes += static_cast<double>(
         compress::CsrIfmap::footprint_from_count(
-            scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
+            scratch.lanes[s].run.out_nnz, plan.shards[s].extent(),
             spec.out_w()));
   }
   merge_shard_stats(ep, scratch, plan.n(), merged, base);
@@ -362,21 +356,11 @@ void ShardedBackend::apply_stage_handoff(const NetworkPlan& ep,
 const kernels::LayerRun& ShardedBackend::run_channel_sharded(
     const NetworkPlan& ep, const kernels::LayerPlan& plan,
     const snn::LayerSpec& spec,
-    kernels::LayerScratch& scratch, double input_bytes, int base,
-    common::FunctionRef<void(const snn::LayerSpec&, kernels::KernelScratch&)>
-        time) const {
+    const compress::CsrIfmap* ifmap, kernels::LayerScratch& scratch,
+    double input_bytes, int base) const {
   const std::size_t n = plan.n();
-  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
   kernels::LayerRun& merged = scratch.main.run;
-  for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
-    const kernels::ShardRange r = plan.shards[s];
-    kernels::KernelScratch& ks = scratch.lanes[s].ks;
-    ks.run.out_nnz =
-        slice_channels_into(merged.out_spikes, r.lo, r.hi, ks.run.out_spikes);
-    snn::LayerSpec sub = spec;
-    sub.out_c = r.extent();
-    time(sub, ks);
-  });
+  time_shards(plan, spec, ifmap, scratch);
   merge_shard_stats(ep, scratch, n, merged, base);
 
   // The input is broadcast: every cluster beyond the owner receives a full
@@ -386,14 +370,14 @@ const kernels::LayerRun& ShardedBackend::run_channel_sharded(
   double noc = static_cast<double>(n - 1) * input_bytes;
   for (std::size_t s = 1; s < n; ++s) {
     noc += static_cast<double>(compress::CsrIfmap::footprint_from_count(
-        scratch.lanes[s].ks.run.out_nnz, spec.out_h(), spec.out_w()));
+        scratch.lanes[s].run.out_nnz, spec.out_h(), spec.out_w()));
   }
   apply_noc(ep, merged.stats, noc, [&](arch::NocModel& m) {
     m.multicast(base, base, base + static_cast<int>(n), input_bytes);
     for (std::size_t s = 1; s < n; ++s) {
       m.unicast(base + static_cast<int>(s), base,
                 static_cast<double>(compress::CsrIfmap::footprint_from_count(
-                    scratch.lanes[s].ks.run.out_nnz, spec.out_h(),
+                    scratch.lanes[s].run.out_nnz, spec.out_h(),
                     spec.out_w())));
     }
   });
@@ -410,24 +394,16 @@ const kernels::LayerRun& ShardedBackend::run_stripe_conv(
     const compress::CsrIfmap& ifmap, kernels::LayerScratch& scratch,
     int base) const {
   const std::size_t n = plan.n();
-  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
   kernels::LayerRun& merged = scratch.main.run;
-  for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
-    const kernels::ShardRange r = plan.shards[s];
-    kernels::ShardLane& lane = scratch.lanes[s];
-    snn::LayerSpec sub = spec;
-    sub.in_h = r.extent() + spec.k - 1;  // halo'd input rows
-    ifmap.slice_rows_into(r.lo, r.lo + sub.in_h, lane.csr);
-    lane.ks.run.out_nnz = slice_rows_into(merged.out_spikes, r.lo, r.hi,
-                                          lane.ks.run.out_spikes);
-    kernels::conv_timing(sub, lane.csr, opt_, lane.ks);
-  });
+  time_shards(plan, spec, &ifmap, scratch);
 
   // Stripes need no broadcast: clusters exchange only the halo overlap (the
-  // summed stripe footprints minus one resident copy) plus the ofmap gather.
+  // summed footprints of the stripes' halo'd input rows minus one resident
+  // copy) plus the ofmap gather.
   double halo_bytes = -static_cast<double>(ifmap.footprint_bytes());
-  for (std::size_t s = 0; s < n; ++s) {
-    halo_bytes += static_cast<double>(scratch.lanes[s].csr.footprint_bytes());
+  for (const kernels::ShardRange& r : plan.shards) {
+    halo_bytes += static_cast<double>(
+        ifmap.rows_footprint_bytes(r.lo, r.hi + spec.k - 1));
   }
   const double gather_bytes =
       merge_stripe_shards(ep, plan, spec, scratch, merged, base);
@@ -441,7 +417,7 @@ const kernels::LayerRun& ShardedBackend::run_stripe_conv(
       m.unicast(c - 1, c, per_pair);
       m.unicast(c, base,
                 static_cast<double>(compress::CsrIfmap::footprint_from_count(
-                    scratch.lanes[s].ks.run.out_nnz, plan.shards[s].extent(),
+                    scratch.lanes[s].run.out_nnz, plan.shards[s].extent(),
                     spec.out_w())));
     }
   });
@@ -453,19 +429,10 @@ const kernels::LayerRun& ShardedBackend::run_stripe_encode(
     const snn::LayerSpec& spec,
     kernels::LayerScratch& scratch, int base) const {
   const std::size_t n = plan.n();
-  if (scratch.lanes.size() < n) scratch.lanes.resize(n);
   const double px_bytes = static_cast<double>(common::fp_bytes(opt_.fmt)) *
                           spec.in_w * spec.in_c;
   kernels::LayerRun& merged = scratch.main.run;
-  for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
-    const kernels::ShardRange r = plan.shards[s];
-    kernels::KernelScratch& ks = scratch.lanes[s].ks;
-    snn::LayerSpec sub = spec;
-    sub.in_h = r.extent() + spec.k - 1;
-    ks.run.out_nnz =
-        slice_rows_into(merged.out_spikes, r.lo, r.hi, ks.run.out_spikes);
-    kernels::encode_timing(sub, opt_, ks);
-  });
+  time_shards(plan, spec, nullptr, scratch);
 
   // Dense image stripes: the halo is the (n - 1) * (k - 1) duplicated rows.
   const double halo_rows =
@@ -485,7 +452,7 @@ const kernels::LayerRun& ShardedBackend::run_stripe_encode(
                     c, base,
                     static_cast<double>(
                         compress::CsrIfmap::footprint_from_count(
-                            scratch.lanes[s].ks.run.out_nnz,
+                            scratch.lanes[s].run.out_nnz,
                             plan.shards[s].extent(), spec.out_w())));
               }
             });
@@ -508,8 +475,7 @@ const kernels::LayerRun& ShardedBackend::run_fc_fanin(
   if (scratch.lanes.size() < n) scratch.lanes.resize(n);
   for_shards(n, pool_worthwhile(spec), [&](std::size_t s) {
     kernels::fc_fanin_shard_timing(spec, ifmap, plan.shards[s].lo,
-                                   plan.shards[s].hi, opt_,
-                                   scratch.lanes[s].ks);
+                                   plan.shards[s].hi, opt_, scratch.lanes[s]);
   });
 
   kernels::LayerRun& merged = scratch.main.run;
@@ -562,12 +528,9 @@ const kernels::LayerRun& ShardedBackend::run_conv(
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "conv " << spec.name << ": unsupported shard axis");
-    run_channel_sharded(
-        ep, plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
-        stage.cluster_lo,
-        [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
-          kernels::conv_timing(sub, ifmap, opt_, ks);
-        });
+    run_channel_sharded(ep, plan, spec, &ifmap, scratch,
+                        static_cast<double>(ifmap.footprint_bytes()),
+                        stage.cluster_lo);
   }
   apply_stage_handoff(ep, stage, spec, scratch.main.run);
   return scratch.main.run;
@@ -589,12 +552,9 @@ const kernels::LayerRun& ShardedBackend::run_fc(
   } else {
     SPK_CHECK(plan.axis == kernels::ShardAxis::kOutputChannel,
               "fc " << spec.name << ": unsupported shard axis");
-    run_channel_sharded(
-        ep, plan, spec, scratch, static_cast<double>(ifmap.footprint_bytes()),
-        stage.cluster_lo,
-        [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
-          kernels::fc_timing(sub, ifmap, opt_, ks);
-        });
+    run_channel_sharded(ep, plan, spec, &ifmap, scratch,
+                        static_cast<double>(ifmap.footprint_bytes()),
+                        stage.cluster_lo);
   }
   apply_stage_handoff(ep, stage, spec, scratch.main.run);
   return scratch.main.run;
@@ -622,11 +582,8 @@ const kernels::LayerRun& ShardedBackend::run_encode(
     const double image_bytes =
         static_cast<double>(common::fp_bytes(opt_.fmt)) * spec.in_h *
         spec.in_w * spec.in_c;
-    run_channel_sharded(
-        ep, plan, spec, scratch, image_bytes, stage.cluster_lo,
-        [&](const snn::LayerSpec& sub, kernels::KernelScratch& ks) {
-          kernels::encode_timing(sub, opt_, ks);
-        });
+    run_channel_sharded(ep, plan, spec, nullptr, scratch, image_bytes,
+                        stage.cluster_lo);
   }
   apply_stage_handoff(ep, stage, spec, scratch.main.run);
   return scratch.main.run;

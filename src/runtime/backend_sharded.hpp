@@ -17,12 +17,15 @@
 // on the persistent WorkerPool), FC layers as one fc_functional call — so
 // they are the unsharded layer's spikes for every plan by construction.
 // Shards carry timing only: each cluster's timing pass runs on its own view
-// of the result (an output-channel tile sees its channel slice of the
-// spikes, a stripe its halo'd CSR row slice and its output rows, a fan-in
-// segment its input-channel band plus an explicit partial-reduction tail on
-// the merging cluster). Shards run on the same pool in per-cluster
-// ShardLanes of the borrowed LayerScratch, so steady-state execution
-// performs zero heap allocations in both serial and pooled mode.
+// of the result, in place — an output-channel tile times its channel groups
+// of the full-width spikes, a stripe its output rows and the halo'd rows of
+// the full-width CSR input, a fan-in segment its input-channel band plus an
+// explicit partial-reduction tail on the merging cluster. Nothing is copied:
+// the per-position stream terms and group counts are computed once per
+// layer call and every shard reads its range of them (kernels' "timing
+// views"). Shards time into per-cluster KernelScratch lanes of the borrowed
+// LayerScratch, so steady-state execution performs zero heap allocations in
+// both serial and pooled mode.
 //
 // Per-cluster KernelStats merge with wall-clock = max and activity = sum;
 // inter-cluster traffic (broadcast replicas, stripe halos, ofmap gathers,
@@ -280,6 +283,15 @@ class ShardedBackend : public ExecutionBackend {
                            const snn::LayerSpec& spec,
                            kernels::LayerRun& run) const;
 
+  /// Time every shard's view (its channel tile or its output rows) of the
+  /// layer call in place, into scratch.lanes[0, plan.n()): the per-layer
+  /// timing terms once into scratch.main, the shards' task lists (on the
+  /// pool when pool_worthwhile), all their schedules in one interleaved
+  /// call, then each shard's DMA plan. `ifmap` is null for encode layers.
+  void time_shards(const kernels::LayerPlan& plan, const snn::LayerSpec& spec,
+                   const compress::CsrIfmap* ifmap,
+                   kernels::LayerScratch& scratch) const;
+
   // Per-plan timing passes. Each runs after the full-width functional pass
   // has written the layer's spikes and out_nnz into scratch.main.run, times
   // every shard on its view of them, merges the shard stats into
@@ -287,16 +299,14 @@ class ShardedBackend : public ExecutionBackend {
   // the layer call loaded; `base` is the first cluster of the group
   // executing the layer (0 outside stage mode).
 
-  /// Output-channel tiling: every shard sees its SIMD-aligned channel slice
-  /// of the spikes and runs `time` on it; the input is broadcast.
+  /// Output-channel tiling: every shard times its SIMD-aligned channel
+  /// tile; the input (`ifmap`, null for encode layers) is broadcast.
   /// `input_bytes` is one cluster's copy of the layer input (for the NoC
   /// broadcast charge).
   const kernels::LayerRun& run_channel_sharded(
       const NetworkPlan& ep, const kernels::LayerPlan& plan,
-      const snn::LayerSpec& spec,
-      kernels::LayerScratch& scratch, double input_bytes, int base,
-      common::FunctionRef<void(const snn::LayerSpec&, kernels::KernelScratch&)>
-          time) const;
+      const snn::LayerSpec& spec, const compress::CsrIfmap* ifmap,
+      kernels::LayerScratch& scratch, double input_bytes, int base) const;
 
   const kernels::LayerRun& run_stripe_conv(const NetworkPlan& ep,
                                            const kernels::LayerPlan& plan,

@@ -9,6 +9,40 @@
 
 namespace spikestream::snn {
 
+namespace {
+
+/// Throws unless `next` takes exactly what `prev` routes to it: its output
+/// OR-pooled (H and W halved) when pool_after, then flattened for an FC
+/// layer or zero-padded by pad_next on every border for a conv.
+void require_connected(const LayerSpec& prev, const LayerSpec& next) {
+  SPK_CHECK(next.kind != LayerKind::kEncodeConv,
+            "layer '" << next.name << "': kind is encode, which reads the "
+                      << "image, so it cannot follow layer '" << prev.name
+                      << "'");
+  SPK_CHECK(prev.kind != LayerKind::kFc || next.kind == LayerKind::kFc,
+            "layer '" << next.name << "': kind is conv, but only an FC "
+                      << "layer may follow FC layer '" << prev.name << "'");
+  int h = prev.out_h(), w = prev.out_w();
+  if (prev.pool_after) {
+    h /= 2;
+    w /= 2;
+  }
+  const auto routed = [&](const char* field, int got, long long want) {
+    SPK_CHECK(got == want, "layer '" << next.name << "': " << field << " = "
+                                     << got << ", but layer '" << prev.name
+                                     << "' routes " << want);
+  };
+  if (next.kind == LayerKind::kFc) {
+    routed("in_c", next.in_c, static_cast<long long>(h) * w * prev.out_c);
+    return;
+  }
+  routed("in_h", next.in_h, h + 2LL * prev.pad_next);
+  routed("in_w", next.in_w, w + 2LL * prev.pad_next);
+  routed("in_c", next.in_c, prev.out_c);
+}
+
+}  // namespace
+
 void Network::add_layer(const LayerSpec& spec) {
   const auto require = [&](const char* field, int value, int min) {
     SPK_CHECK(value >= min, "layer '" << spec.name << "': " << field << " = "
@@ -22,6 +56,7 @@ void Network::add_layer(const LayerSpec& spec) {
     require("in_h", spec.in_h, spec.k);
     require("in_w", spec.in_w, spec.k);
   }
+  if (!layers_.empty()) require_connected(layers_.back(), spec);
   LayerWeights w;
   w.k = spec.kind == LayerKind::kFc ? 1 : spec.k;
   w.in_c = spec.in_c;

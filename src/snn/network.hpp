@@ -79,7 +79,12 @@ class Network {
  public:
   /// Appends a layer with zeroed weights. Throws Error, naming the layer and
   /// the field, unless in_c, out_c >= 1 and pad_next >= 0, and for conv and
-  /// encode layers k >= 1 and in_h, in_w >= k.
+  /// encode layers k >= 1 and in_h, in_w >= k. A layer after the first must
+  /// take exactly the previous layer's routed output — its spikes, OR-pooled
+  /// to half H and W when pool_after, then flattened (FC: in_c = H*W*C) or
+  /// padded by pad_next (conv: in_h = H + 2*pad_next, in_w likewise, in_c =
+  /// C) — and only an FC layer may follow an FC layer; an encode layer,
+  /// which reads the image, must come first. That Error names both layers.
   void add_layer(const LayerSpec& spec);
 
   std::size_t num_layers() const { return layers_.size(); }

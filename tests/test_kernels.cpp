@@ -2,6 +2,8 @@
 // (bit-exact spikes) and the timing properties the paper reports.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -216,6 +218,47 @@ TEST(FcKernel, BatchMatchesPerLaneAtWidestFanIn) {
     EXPECT_EQ(scratch[i].main.run.out_spikes.v, serial.run.out_spikes.v)
         << "lane " << i;
   }
+}
+
+TEST(FcKernel, FanInShardsConserveAtWidestFanIn) {
+  // Two fan-in shards of a 65536-input layer: the second one's upper bound,
+  // 65536, does not fit the 16-bit CSR index type. Each shard must charge
+  // only its own spikes, and together exactly the unsharded pass's
+  // accumulation work (ARCHITECTURE.md invariant 3).
+  snn::LayerSpec spec;
+  spec.kind = snn::LayerKind::kFc;
+  spec.name = "fc_wide";
+  spec.in_c = 65536;
+  spec.out_c = 16;
+  spec.lif.v_th = 0.4f;
+  spec.lif.v_rst = 0.4f;
+  const auto w = make_weights(spec, 22);
+  snn::SpikeMap in(1, 1, spec.in_c);
+  for (int c : {3, 40000, 65100, 65535}) in.v[static_cast<std::size_t>(c)] = 1;
+  const auto csr = spikestream::compress::CsrIfmap::encode(in);
+  const k::RunOptions opt;
+
+  k::KernelScratch whole;
+  snn::Tensor mem(1, 1, spec.out_c);
+  k::run_fc_layer(spec, w, csr, mem, opt, whole);
+  double fpu_ops = 0, ssr_elems = 0;
+  for (const auto& [lo, hi] : {std::pair{0, 32768}, std::pair{32768, 65536}}) {
+    k::KernelScratch shard;
+    k::fc_fanin_shard_timing(spec, csr, lo, hi, opt, shard);
+    const k::KernelStats& st = shard.run.stats;
+    const std::string at = "shard [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + ")";
+    for (const double v : {st.fpu_ops, st.ssr_elems, st.int_instrs,
+                           st.tcdm_words, st.compute_cycles, st.dma_bytes,
+                           st.dma_cycles, st.cycles}) {
+      EXPECT_GE(v, 0.0) << at;
+    }
+    fpu_ops += st.fpu_ops;
+    ssr_elems += st.ssr_elems;
+  }
+  EXPECT_GT(whole.run.stats.fpu_ops, 0.0);
+  EXPECT_DOUBLE_EQ(fpu_ops, whole.run.stats.fpu_ops);
+  EXPECT_DOUBLE_EQ(ssr_elems, whole.run.stats.ssr_elems);
 }
 
 TEST(FcKernel, PrescalePenalizesSpikeStreamIntPipe) {

@@ -47,8 +47,8 @@ namespace sc = spikestream::common;
 
 namespace {
 
-snn::Network test_net() {
-  snn::Network net = snn::Network::make_tiny(18, 3, 32, 10);
+snn::Network test_net(int mid_c = 32) {
+  snn::Network net = snn::Network::make_tiny(18, 3, mid_c, 10);
   sc::Rng rng(42);
   net.init_weights(rng);
   const auto calib = snn::make_batch(4, 7, 16, 16, 3);
@@ -469,7 +469,7 @@ void check_shards_against_oracle(const snn::Network& net, std::size_t l,
       } else {
         k::fc_fanin_shard_timing(spec, ifmap, r.lo, r.hi, opt, ks);
       }
-      expect_stats_identical(scratch.lanes[s].ks.run.stats, ks.run.stats,
+      expect_stats_identical(scratch.lanes[s].run.stats, ks.run.stats,
                              at + " shard " + std::to_string(s));
       if (s == 0) {
         merged = ks.run.stats;
@@ -510,21 +510,31 @@ TEST(PartitionTiming, EveryShardMatchesItsKernelOracle) {
   // for bit, in every build (both sides use the same arithmetic).
   snn::Network net = test_net();
   net.quantize_weights(k::RunOptions{}.fmt);
+  // Ten channels: three channel tiles at FP16, the last one half a SIMD
+  // group, for the encode and conv layers (test_net's 10-output FC head
+  // already ends in one).
+  snn::Network narrow = test_net(10);
+  narrow.quantize_weights(k::RunOptions{}.fmt);
   using A = k::ShardAxis;
   using P = k::PartitionStrategy;
   struct Case {
+    const snn::Network* net;
     std::size_t layer;  // 0 encode, 1 conv, 2 fc
     P strategy;
     A axis;
   };
-  for (const Case c : {Case{0, P::kOutputChannel, A::kOutputChannel},
-                       Case{1, P::kOutputChannel, A::kOutputChannel},
-                       Case{2, P::kOutputChannel, A::kOutputChannel},
-                       Case{0, P::kIfmapStripe, A::kIfmapStripe},
-                       Case{1, P::kIfmapStripe, A::kIfmapStripe},
-                       Case{2, P::kIfmapStripe, A::kFanIn}}) {
+  for (const Case c : {Case{&net, 0, P::kOutputChannel, A::kOutputChannel},
+                       Case{&net, 1, P::kOutputChannel, A::kOutputChannel},
+                       Case{&net, 2, P::kOutputChannel, A::kOutputChannel},
+                       Case{&net, 0, P::kIfmapStripe, A::kIfmapStripe},
+                       Case{&net, 1, P::kIfmapStripe, A::kIfmapStripe},
+                       Case{&net, 2, P::kIfmapStripe, A::kFanIn},
+                       Case{&narrow, 0, P::kOutputChannel, A::kOutputChannel},
+                       Case{&narrow, 1, P::kOutputChannel, A::kOutputChannel},
+                       Case{&narrow, 1, P::kIfmapStripe, A::kIfmapStripe}}) {
     for (const bool pooled : {false, true}) {
-      check_shards_against_oracle(net, c.layer, c.strategy, c.axis, pooled);
+      check_shards_against_oracle(*c.net, c.layer, c.strategy, c.axis,
+                                  pooled);
     }
   }
 }

@@ -1,9 +1,9 @@
 // Host-SIMD dispatch layer (common/simd.hpp): every tier the running CPU
 // supports must produce byte-identical results to the scalar tier for all
 // kernels — the CSR nonzero scan, the LIF step, the per-group spike
-// accumulate and the binary16 narrowing (checked against the scalar
-// common/float_formats routines) — across lengths that exercise both the
-// vector bodies and the scalar tails.
+// accumulate, the work-stealing schedule simulation and the binary16
+// narrowing (checked against the scalar common/float_formats routines) —
+// across lengths that exercise both the vector bodies and the scalar tails.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "compress/csr_ifmap.hpp"
+#include "kernels/scheduler.hpp"
 #include "snn/lif.hpp"
 #include "snn/tensor.hpp"
 
@@ -201,6 +202,73 @@ TEST(Simd, GroupCountsMatchScalarAcrossTiers) {
         simd::group_spike_counts(row.data(), c, group, groups, got.data());
         EXPECT_EQ(expect, got)
             << simd::tier_name(tier) << " group=" << group << " c=" << c;
+      }
+    }
+  }
+}
+
+TEST(Simd, StealScheduleMatchesScalarAcrossTiers) {
+  // Integer costs in a small range force ties among the core times, so the
+  // lowest-index tie rule is exercised on every list; 12 cores exceed one
+  // zmm and take the scalar loop on every tier.
+  namespace k = spikestream::kernels;
+  TierGuard guard;
+  sc::Rng rng(47);
+  for (const double steal : {0.0, 3.0, 0.75}) {
+    for (const int cores : {1, 2, 3, 5, 7, 8, 12}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<double> tasks(rng.uniform_u64(1101));
+        for (double& t : tasks) t = static_cast<double>(rng.uniform_u64(6));
+        const std::string at = "steal=" + std::to_string(steal) +
+                               " cores=" + std::to_string(cores) +
+                               " tasks=" + std::to_string(tasks.size());
+        simd::force_tier(simd::Tier::kScalar);
+        k::ScheduleResult expect;
+        k::steal_schedule_into(tasks, cores, steal, expect);
+        for (const simd::Tier tier : supported_tiers()) {
+          simd::force_tier(tier);
+          k::ScheduleResult got;
+          got.core_cycles.assign(3, -1.0);  // stale contents are replaced
+          k::steal_schedule_into(tasks, cores, steal, got);
+          EXPECT_EQ(first_diff(expect.core_cycles, got.core_cycles), -1)
+              << simd::tier_name(tier) << " " << at;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(expect.makespan),
+                    std::bit_cast<std::uint64_t>(got.makespan))
+              << simd::tier_name(tier) << " " << at;
+        }
+      }
+    }
+  }
+
+  // The interleaved entry: lists of unequal lengths (one empty), in counts
+  // that leave an odd list out of the pairs, against one steal_schedule
+  // call per list.
+  for (const simd::Tier tier : supported_tiers()) {
+    simd::force_tier(tier);
+    for (const int cores : {1, 4, 8, 12}) {
+      for (const std::size_t n_lists : {1u, 2u, 3u, 5u}) {
+        std::vector<std::vector<double>> tasks(n_lists);
+        for (std::size_t i = 1; i < n_lists; ++i) {
+          tasks[i].resize(rng.uniform_u64(300));
+          for (double& t : tasks[i]) {
+            t = static_cast<double>(rng.uniform_u64(5));
+          }
+        }
+        std::vector<std::vector<double>> got(
+            n_lists, std::vector<double>(static_cast<std::size_t>(cores)));
+        std::vector<simd::StealList> lists;
+        for (std::size_t i = 0; i < n_lists; ++i) {
+          lists.push_back({tasks[i].data(), tasks[i].size(), got[i].data()});
+        }
+        simd::steal_schedule_lists(lists, cores, 2.0);
+        for (std::size_t i = 0; i < n_lists; ++i) {
+          std::vector<double> expect(static_cast<std::size_t>(cores), -1.0);
+          simd::steal_schedule(tasks[i].data(), tasks[i].size(), cores, 2.0,
+                               expect.data());
+          EXPECT_EQ(first_diff(expect, got[i]), -1)
+              << simd::tier_name(tier) << " cores=" << cores << " list " << i
+              << " of " << n_lists;
+        }
       }
     }
   }

@@ -174,6 +174,92 @@ TEST(Network, RejectsMalformedLayerSpecs) {
   EXPECT_NO_THROW(net.add_layer(fc));
 }
 
+TEST(Network, RejectsDisconnectedShapeChains) {
+  // Caught at add_layer, naming both layers and the field. Unchecked, a conv
+  // whose input differs from what the previous layer routes to it builds an
+  // engine whose first run throws an ifmap shape mismatch.
+  using K = snn::LayerKind;
+  const auto conv = [](const char* name, K kind, int in_hw, int in_c,
+                       int out_c, bool pool, int pad) {
+    snn::LayerSpec s;
+    s.kind = kind;
+    s.name = name;
+    s.in_h = s.in_w = in_hw;
+    s.in_c = in_c;
+    s.k = 3;
+    s.out_c = out_c;
+    s.pool_after = pool;
+    s.pad_next = pad;
+    return s;
+  };
+  const auto fc = [](const char* name, int in_c, int out_c) {
+    snn::LayerSpec s;
+    s.kind = K::kFc;
+    s.name = name;
+    s.in_c = in_c;
+    s.out_c = out_c;
+    return s;
+  };
+  // 10x10x8 -> 8x8x16 spikes; 4x4x16 after the OR-pool.
+  const snn::LayerSpec c1 = conv("first", K::kConv, 10, 8, 16, false, 1);
+  const snn::LayerSpec c1_pool = conv("first", K::kConv, 10, 8, 16, true, 1);
+  const snn::LayerSpec c1_pad2 = conv("first", K::kConv, 10, 8, 16, false, 2);
+  const snn::LayerSpec f1 = fc("first", 64, 12);
+  struct Case {
+    const char* what;
+    snn::LayerSpec prev, next;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"conv in_c", c1, conv("second", K::kConv, 10, 8, 8, false, 1), "in_c"},
+      {"conv in_h after pool", c1_pool,
+       conv("second", K::kConv, 10, 16, 8, false, 1), "in_h"},
+      {"conv in_w after pad 2", c1_pad2,
+       [&] {
+         snn::LayerSpec s = conv("second", K::kConv, 12, 16, 8, false, 1);
+         s.in_w = 10;
+         return s;
+       }(),
+       "in_w"},
+      {"fc in_c", c1, fc("second", 1000, 10), "in_c"},
+      {"fc in_c after pool", c1_pool, fc("second", 1024, 10), "in_c"},
+      {"fc in_c after fc", f1, fc("second", 10, 4), "in_c"},
+      {"conv after fc", f1, conv("second", K::kConv, 3, 12, 8, false, 1),
+       "kind"},
+      {"encode after conv", c1,
+       conv("second", K::kEncodeConv, 10, 16, 8, false, 1), "kind"},
+  };
+  for (const Case& c : cases) {
+    snn::Network net;
+    net.add_layer(c.prev);
+    try {
+      net.add_layer(c.next);
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const spikestream::Error& e) {
+      const std::string what = e.what();
+      for (const char* part : {"'first'", "'second'", c.field}) {
+        EXPECT_NE(what.find(part), std::string::npos)
+            << c.what << ": " << what;
+      }
+    }
+    EXPECT_EQ(net.num_layers(), 1u) << c.what;
+  }
+  // What each of those layers does connect to.
+  const std::pair<snn::LayerSpec, snn::LayerSpec> ok[] = {
+      {c1, conv("second", K::kConv, 10, 16, 8, false, 1)},
+      {c1_pool, conv("second", K::kConv, 6, 16, 8, false, 1)},
+      {c1_pad2, conv("second", K::kConv, 12, 16, 8, false, 1)},
+      {c1, fc("second", 1024, 10)},
+      {c1_pool, fc("second", 256, 10)},
+      {f1, fc("second", 12, 4)},
+  };
+  for (const auto& [prev, next] : ok) {
+    snn::Network net;
+    net.add_layer(prev);
+    EXPECT_NO_THROW(net.add_layer(next)) << next.in_h << "x" << next.in_c;
+  }
+}
+
 TEST(Network, ChunkedInitMatchesSerialDraws) {
   // Five init chunks over three FC layers of 65536, 128000 and 100000
   // weights: one chunk boundary falls exactly between fc1 and fc2, three
