@@ -12,10 +12,6 @@
 //    `n_runs` contiguous runs: row activations, row-buffer hits and busy
 //    cycles are derived per run, never per beat, so the planner's hot path
 //    stays allocation-free and O(1) per stream.
-//  * Storage formats (packed vs fixed-stride) for weight bands and
-//    spike/CSR payloads: packed moves exactly the compressed payload,
-//    fixed-stride pads every record up to a stride quantum (simpler
-//    addressing, never fewer bytes).
 //
 // The cycle-level DMA engine (arch/dma.hpp) and the cluster memory map
 // (arch/mem.hpp) source their flat first-beat latency and port width from
@@ -89,19 +85,9 @@ struct EccConfig {
   }
 };
 
-/// How a stream's records are laid out in DRAM.
-enum class DramFormat {
-  kPacked,       ///< records back to back: bytes moved == payload bytes
-  kFixedStride,  ///< records padded to a fixed stride slot (simple address
-                 ///< arithmetic, bytes moved >= payload bytes)
-};
-
-const char* dram_format_name(DramFormat f);
-
 /// Closed-form cost of one or more access sequences. `bytes` are the bytes
-/// actually moved (post-format); hits/misses count row-buffer outcomes at
-/// 64 B beat granularity, so hit_rate() reads as "fraction of beats served
-/// from an open row".
+/// moved; hits/misses count row-buffer outcomes at 64 B beat granularity, so
+/// hit_rate() reads as "fraction of beats served from an open row".
 struct DramCost {
   double bytes = 0;
   double cycles = 0;
@@ -142,11 +128,6 @@ struct DramConfig {
   /// stream (see kernels/tiling.hpp). Banked mode only.
   bool spill_double_buffer = true;
 
-  // --- storage formats -----------------------------------------------------
-  DramFormat weight_format = DramFormat::kPacked;
-  DramFormat payload_format = DramFormat::kPacked;  ///< spike/CSR payloads
-  double stride_quantum = 256;  ///< fixed-stride record slot granularity
-
   // --- error protection ----------------------------------------------------
   /// SEC-DED ECC on the channel and the SPM. Off by default (bit-exact
   /// historical numbers); kernels overlay its cycle/energy cost and expected
@@ -164,19 +145,6 @@ struct DramConfig {
   /// the first of a long sequential run are exposed only past this window.
   double hidden_activation_window() const {
     return (static_cast<double>(banks) - 1.0) * row_bytes / bytes_per_cycle;
-  }
-
-  /// Bytes actually moved for `payload_bytes` of data split into `n_records`
-  /// records stored under format `f`. Packed moves the payload exactly;
-  /// fixed-stride rounds every record up to the stride quantum.
-  double stored_bytes(DramFormat f, double payload_bytes,
-                      double n_records) const {
-    if (f == DramFormat::kPacked || payload_bytes <= 0 || n_records <= 0) {
-      return payload_bytes;
-    }
-    const double record = payload_bytes / n_records;
-    const double slot = std::ceil(record / stride_quantum) * stride_quantum;
-    return std::max(payload_bytes, slot * n_records);
   }
 
   /// Closed-form cost of an access sequence: `total_bytes` split into

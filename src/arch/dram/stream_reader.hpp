@@ -42,13 +42,6 @@ class StreamReader {
   /// Writes share the channel and the row buffers; timing is symmetric.
   void write(double total_bytes, double n_runs) { stream(total_bytes, n_runs); }
 
-  /// Account a read of `payload_bytes` split into `n_records` records stored
-  /// under format `f` (the stored, possibly padded, bytes are what moves).
-  void stream_records(DramFormat f, double payload_bytes, double n_records,
-                      double n_runs) {
-    stream(cfg_.stored_bytes(f, payload_bytes, n_records), n_runs);
-  }
-
   /// Address-tracked access: walk the rows [addr, addr + bytes) touches and
   /// charge each against the owning bank's open-row register. Rows map to
   /// banks round-robin (row-interleaved), so a sequential run activates all

@@ -2,8 +2,9 @@
 // plus static/clock power. Constants are calibrated (see DESIGN.md §2) so the
 // modeled cluster reproduces the paper's measured average powers at 1 GHz,
 // 0.8 V, GF12LP+ (baseline FP16 0.1319 W, SpikeStream FP16 0.233 W,
-// SpikeStream FP8 0.219 W). Both the ISS and the layer-level kernel model
-// feed the same `Activity` structure, so energy numbers are comparable.
+// SpikeStream FP8 0.219 W). `Activity` holds exactly the counts the model
+// prices; kernels::KernelStats::to_activity() is its one producer (called
+// from runtime/engine.cpp and soa/comparison.cpp).
 #pragma once
 
 #include "common/float_formats.hpp"
@@ -50,7 +51,8 @@ struct EnergyParams {
   }
 };
 
-/// Abstract activity counts for one kernel execution on the whole cluster.
+/// Activity counts for one kernel execution on the whole cluster: the inputs
+/// compute_energy() prices, nothing else.
 struct Activity {
   double cycles = 0;        ///< wall-clock cycles of the kernel
   double active_cores = 8;  ///< cores clocked during the kernel
@@ -60,66 +62,12 @@ struct Activity {
   double tcdm_words = 0;    ///< 64-bit words through the interconnect
   double ssr_elems = 0;
   double dma_bytes = 0;
-  /// Weight-fetch bytes skipped by batch-level SPM weight-tile reuse. Not
-  /// priced (the saving already shows as lower dma_bytes); carried so energy
-  /// reports can state how much DMA traffic the reuse removed.
-  double dma_saved_bytes = 0;
-  /// Partial-sum spill/fill traffic of the segment-major batched FC
-  /// schedule. A subset of dma_bytes (so it is already priced); carried so
-  /// reports can judge the weight-stream saving net of its spill cost.
-  double dma_spill_bytes = 0;
   double noc_bytes = 0;     ///< inter-cluster traffic (sharded runs)
-  /// Row-buffer outcomes of the banked DRAM model (64 B beat granularity;
-  /// both 0 under flat legacy). Misses are priced as row activations.
-  double dram_row_hits = 0;
+  /// Row activations of the banked DRAM model (0 under flat legacy).
   double dram_row_misses = 0;
-  /// Spill/fill DMA cycles hidden under concurrent band streams by the
-  /// double-buffered segment-major schedule. Not priced (the traffic itself
-  /// is already in dma_bytes); carried so reports can show the overlap.
-  double dma_hidden_cycles = 0;
-  /// Cycles the NoC contention gate added to the wall-clock (subset of
-  /// `cycles`, so already priced by the static term); carried so reports can
-  /// attribute fabric-bound time.
-  double noc_contention_cycles = 0;
-  /// Stage-pipeline FIFO backpressure cycles (subset of the stage window's
-  /// `cycles`); carried so reports can attribute pipeline-imbalance time.
-  double fifo_stall_cycles = 0;
-  /// SEC-DED codewords checked (DRAM beats + SPM interconnect words, priced
-  /// at EnergyParams::ecc_word) and the expected correction outcomes. All
-  /// zero with ECC off — the off-by-default bit-exactness contract.
+  /// SEC-DED codewords checked (DRAM beats + SPM interconnect words). Zero
+  /// with ECC off — the off-by-default bit-exactness contract.
   double ecc_words = 0;
-  double ecc_corrected = 0;      ///< expected single-bit corrections
-  double ecc_uncorrectable = 0;  ///< expected detected-uncorrectable events
-  /// ECC check/scrub cycles (subset of `cycles`, so already priced by the
-  /// static term); carried so reports can attribute protection overhead.
-  double ecc_cycles = 0;
-
-  void accumulate(const Activity& o) {
-    cycles += o.cycles;
-    int_instrs += o.int_instrs;
-    fpu_add_ops += o.fpu_add_ops;
-    fpu_mac_ops += o.fpu_mac_ops;
-    tcdm_words += o.tcdm_words;
-    ssr_elems += o.ssr_elems;
-    dma_bytes += o.dma_bytes;
-    dma_saved_bytes += o.dma_saved_bytes;
-    dma_spill_bytes += o.dma_spill_bytes;
-    noc_bytes += o.noc_bytes;
-    dram_row_hits += o.dram_row_hits;
-    dram_row_misses += o.dram_row_misses;
-    dma_hidden_cycles += o.dma_hidden_cycles;
-    noc_contention_cycles += o.noc_contention_cycles;
-    fifo_stall_cycles += o.fifo_stall_cycles;
-    ecc_words += o.ecc_words;
-    ecc_corrected += o.ecc_corrected;
-    ecc_uncorrectable += o.ecc_uncorrectable;
-    ecc_cycles += o.ecc_cycles;
-  }
-
-  double dram_row_hit_rate() const {
-    const double beats = dram_row_hits + dram_row_misses;
-    return beats > 0 ? dram_row_hits / beats : 0.0;
-  }
 };
 
 /// Energy split by component, in picojoules.

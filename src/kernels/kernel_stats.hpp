@@ -8,66 +8,69 @@
 
 #include "arch/energy.hpp"
 
+/// Every modeled counter of KernelStats, declared once: X(name, rule). The
+/// rule says how merge_parallel combines the stats of shards that ran
+/// concurrently on separate clusters: `activity` counters sum (each cluster
+/// does its own work), `timeline` counters take the max (the clusters'
+/// timelines overlap). accumulate() sums every counter. A new counter is one
+/// line here; the energy model sees it only if to_activity() maps it.
+#define SPIKESTREAM_KERNEL_COUNTERS(X)                                       \
+  /* Wall-clock cycles (max over cores, incl. DMA). */                       \
+  X(cycles, timeline)                                                        \
+  X(compute_cycles, timeline) /* compute-only critical path */               \
+  X(dma_cycles, timeline)     /* DMA busy cycles */                          \
+  X(fpu_ops, activity)        /* SIMD FPU ops issued (adds + macs) */        \
+  X(fpu_mac_ops, activity)    /* subset of fpu_ops that are fmadds */        \
+  X(int_instrs, activity)                                                    \
+  X(tcdm_words, activity) /* 64-bit words moved through the interconnect */  \
+  X(ssr_elems, activity)                                                     \
+  X(dma_bytes, activity)                                                     \
+  /* Weight-fetch DMA bytes skipped because the layer's weight tile was      \
+     still SPM-resident from the previous batch sample                       \
+     (RunOptions::batch_weight_reuse), or because the segment-major FC       \
+     schedule streamed each weight band once for the whole batch             \
+     (RunOptions::segment_major_lanes, net of the spill traffic below).      \
+     Always excluded from dma_bytes. */                                      \
+  X(dma_saved_bytes, activity)                                               \
+  /* Partial-sum spill/fill traffic of the segment-major FC schedule.        \
+     Included in dma_bytes (real, priced traffic); itemized so the           \
+     weight-stream saving can be judged net of its cost. */                  \
+  X(dma_bytes_spill, activity)                                               \
+  /* Inter-cluster traffic (broadcast ifmap replicas, stripe halos,          \
+     gathered ofmap slices, FC partial-sum reductions). 0 on one cluster. */ \
+  X(noc_bytes, activity)                                                     \
+  /* Row-buffer outcomes of the banked DRAM model (arch/dram/dram.hpp) at    \
+     64 B beat granularity; both 0 under flat legacy. Each cluster owns its  \
+     DRAM channel, so they sum. Misses are priced as row activations. */     \
+  X(dma_row_hits, activity)                                                  \
+  X(dma_row_misses, activity)                                                \
+  /* Segment-major spill/fill DMA cycles the double-buffered schedule hid    \
+     under the concurrent weight-band stream (banked model only). Excluded   \
+     from dma_cycles; charged + hidden reconstructs the serial pricing. */   \
+  X(dma_cycles_hidden, timeline)                                             \
+  /* Cycles NocParams::model_contention added to the wall-clock. Included    \
+     in cycles; 0 with contention modeling off. */                           \
+  X(noc_contention_cycles, timeline)                                         \
+  /* Stage-pipeline backpressure: cycles a stage sat blocked on a full       \
+     downstream spike FIFO. Set only on the batch-scope stage timeline's     \
+     per-stage summaries (runtime/stage_pipeline.hpp), never on a single     \
+     layer run. Included in the stage window's cycles. */                    \
+  X(fifo_stall_cycles, timeline)                                             \
+  /* SEC-DED ECC overlay (arch::EccConfig, applied by finish_timing when     \
+     opt.cost.dram.ecc.enabled): codewords checked across DRAM beats and     \
+     TCDM words, expected corrected / detected-uncorrectable counts, and     \
+     the check+scrub cycles included in cycles. All 0 with ECC off. */       \
+  X(ecc_words, activity)                                                     \
+  X(ecc_corrected, activity)                                                 \
+  X(ecc_uncorrectable, activity)                                             \
+  X(ecc_cycles, timeline)
+
 namespace spikestream::kernels {
 
 struct KernelStats {
-  double cycles = 0;        ///< wall-clock cycles (max over cores, incl. DMA)
-  double compute_cycles = 0;  ///< compute-only critical path
-  double dma_cycles = 0;      ///< DMA busy cycles
-  double fpu_ops = 0;         ///< SIMD FPU ops issued (adds + macs)
-  double fpu_mac_ops = 0;     ///< subset of fpu_ops that are fmadds
-  double int_instrs = 0;
-  double tcdm_words = 0;      ///< 64-bit words moved through the interconnect
-  double ssr_elems = 0;
-  double dma_bytes = 0;
-  /// Weight-fetch DMA bytes this run skipped because the layer's weight tile
-  /// was still SPM-resident from the previous batch sample (batch-level
-  /// weight-tile reuse, RunOptions::batch_weight_reuse), or because the
-  /// segment-major batched FC schedule streamed each weight band once for
-  /// the whole batch (RunOptions::segment_major_lanes — already net of the
-  /// spill traffic below). 0 otherwise; always excluded from `dma_bytes`.
-  double dma_saved_bytes = 0;
-  /// Partial-sum spill/fill DMA traffic of the segment-major batched FC
-  /// schedule: accumulator slices of samples parked between weight bands
-  /// written to and re-read from DRAM. Included in `dma_bytes` (it is real
-  /// traffic, priced by the energy model like any DMA byte) and itemized
-  /// here so the weight-stream saving can be judged net of its cost.
-  double dma_bytes_spill = 0;
-  /// Inter-cluster traffic (broadcast ifmap replicas, stripe halos, gathered
-  /// ofmap slices, FC partial-sum reductions). 0 for single-cluster runs.
-  double noc_bytes = 0;
-  /// Row-buffer outcomes of the banked DRAM model (arch/dram/dram.hpp), at
-  /// 64 B beat granularity. Sequential weight-band streams hit their open
-  /// rows almost always; strided accumulator spills and fragmented
-  /// write-backs pay one activation per run. Both 0 under flat legacy.
-  double dma_row_hits = 0;
-  double dma_row_misses = 0;
-  /// DMA cycles of the segment-major spill/fill that the double-buffered
-  /// schedule hid under the concurrent weight-band stream (banked model
-  /// only). Excluded from `dma_cycles` (they do not occupy the exposed
-  /// timeline); itemized so charged + hidden reconstructs the serial-spill
-  /// pricing exactly.
-  double dma_cycles_hidden = 0;
-  /// Cycles NocParams::model_contention added to this layer's wall-clock
-  /// (the fabric gate raising `cycles` above the compute/DMA timeline).
-  /// Included in `cycles`; itemized so gated minus ungated runs reconstruct
-  /// exactly. 0 with contention modeling off.
-  double noc_contention_cycles = 0;
-  /// Stage-pipeline backpressure: cycles a pipeline stage sat blocked on a
-  /// full downstream spike FIFO. Produced by the batch-scope stage timeline
-  /// (runtime/stage_pipeline.hpp) on per-stage summary stats — always 0 on
-  /// individual layer runs, whose service time is what the timeline
-  /// consumes. Included in the stage's window `cycles`.
-  double fifo_stall_cycles = 0;
-  /// SEC-DED ECC overlay (arch::EccConfig, applied by finish_timing when
-  /// opt.cost.dram.ecc.enabled): codewords checked across DRAM beats + TCDM
-  /// words, expected corrected / detected-uncorrectable counts, and the
-  /// check+scrub cycles added to `cycles` (itemized here so protected minus
-  /// unprotected runs reconstruct exactly). All zero with ECC off.
-  double ecc_words = 0;
-  double ecc_corrected = 0;
-  double ecc_uncorrectable = 0;
-  double ecc_cycles = 0;  ///< included in `cycles`
+#define SPK_DECLARE_COUNTER(name, rule) double name = 0;
+  SPIKESTREAM_KERNEL_COUNTERS(SPK_DECLARE_COUNTER)
+#undef SPK_DECLARE_COUNTER
   int active_cores = 8;
   std::vector<double> core_cycles;  ///< per-core compute time (imbalance)
 
@@ -78,6 +81,8 @@ struct KernelStats {
     return cycles > 0 ? (int_instrs + fpu_ops) / (cycles * active_cores) : 0.0;
   }
 
+  /// The inputs the energy model prices; the only KernelStats -> Activity
+  /// mapping.
   arch::Activity to_activity() const {
     arch::Activity a;
     a.cycles = cycles;
@@ -88,96 +93,40 @@ struct KernelStats {
     a.tcdm_words = tcdm_words;
     a.ssr_elems = ssr_elems;
     a.dma_bytes = dma_bytes;
-    a.dma_saved_bytes = dma_saved_bytes;
-    a.dma_spill_bytes = dma_bytes_spill;
     a.noc_bytes = noc_bytes;
-    a.dram_row_hits = dma_row_hits;
     a.dram_row_misses = dma_row_misses;
-    a.dma_hidden_cycles = dma_cycles_hidden;
-    a.noc_contention_cycles = noc_contention_cycles;
-    a.fifo_stall_cycles = fifo_stall_cycles;
     a.ecc_words = ecc_words;
-    a.ecc_corrected = ecc_corrected;
-    a.ecc_uncorrectable = ecc_uncorrectable;
-    a.ecc_cycles = ecc_cycles;
     return a;
   }
 
   /// Reset to a default-constructed state while keeping the `core_cycles`
   /// capacity (scratch-arena reuse across layer executions).
   void reset() {
-    cycles = compute_cycles = dma_cycles = 0;
-    fpu_ops = fpu_mac_ops = int_instrs = tcdm_words = ssr_elems = dma_bytes = 0;
-    dma_saved_bytes = 0;
-    dma_bytes_spill = 0;
-    noc_bytes = 0;
-    dma_row_hits = dma_row_misses = 0;
-    dma_cycles_hidden = 0;
-    noc_contention_cycles = 0;
-    fifo_stall_cycles = 0;
-    ecc_words = ecc_corrected = ecc_uncorrectable = ecc_cycles = 0;
+#define SPK_RESET_COUNTER(name, rule) name = 0;
+    SPIKESTREAM_KERNEL_COUNTERS(SPK_RESET_COUNTER)
+#undef SPK_RESET_COUNTER
     active_cores = 8;
     core_cycles.clear();
   }
 
   void accumulate(const KernelStats& o) {
-    cycles += o.cycles;
-    compute_cycles += o.compute_cycles;
-    dma_cycles += o.dma_cycles;
-    fpu_ops += o.fpu_ops;
-    fpu_mac_ops += o.fpu_mac_ops;
-    int_instrs += o.int_instrs;
-    tcdm_words += o.tcdm_words;
-    ssr_elems += o.ssr_elems;
-    dma_bytes += o.dma_bytes;
-    dma_saved_bytes += o.dma_saved_bytes;
-    dma_bytes_spill += o.dma_bytes_spill;
-    noc_bytes += o.noc_bytes;
-    dma_row_hits += o.dma_row_hits;
-    dma_row_misses += o.dma_row_misses;
-    dma_cycles_hidden += o.dma_cycles_hidden;
-    noc_contention_cycles += o.noc_contention_cycles;
-    fifo_stall_cycles += o.fifo_stall_cycles;
-    ecc_words += o.ecc_words;
-    ecc_corrected += o.ecc_corrected;
-    ecc_uncorrectable += o.ecc_uncorrectable;
-    ecc_cycles += o.ecc_cycles;
+#define SPK_SUM_COUNTER(name, rule) name += o.name;
+    SPIKESTREAM_KERNEL_COUNTERS(SPK_SUM_COUNTER)
+#undef SPK_SUM_COUNTER
     active_cores = std::max(active_cores, o.active_cores);
   }
 
   /// Merge stats of a shard that executed *concurrently* on a separate
-  /// cluster: timelines take the max (clusters run in parallel), activity
-  /// counters and core counts sum, per-core breakdowns concatenate.
+  /// cluster: each counter follows its rule in SPIKESTREAM_KERNEL_COUNTERS,
+  /// core counts sum, per-core breakdowns concatenate.
   void merge_parallel(const KernelStats& o) {
-    cycles = std::max(cycles, o.cycles);
-    compute_cycles = std::max(compute_cycles, o.compute_cycles);
-    dma_cycles = std::max(dma_cycles, o.dma_cycles);
-    fpu_ops += o.fpu_ops;
-    fpu_mac_ops += o.fpu_mac_ops;
-    int_instrs += o.int_instrs;
-    tcdm_words += o.tcdm_words;
-    ssr_elems += o.ssr_elems;
-    dma_bytes += o.dma_bytes;
-    dma_saved_bytes += o.dma_saved_bytes;
-    dma_bytes_spill += o.dma_bytes_spill;
-    noc_bytes += o.noc_bytes;
-    // Row outcomes are activity counters (they sum across concurrent
-    // clusters, each owning its own DRAM channel); the hidden-cycle
-    // itemization follows the dma_cycles timeline semantics instead.
-    dma_row_hits += o.dma_row_hits;
-    dma_row_misses += o.dma_row_misses;
-    dma_cycles_hidden = std::max(dma_cycles_hidden, o.dma_cycles_hidden);
-    // Fabric-gate and FIFO-stall itemizations follow the wall-clock timeline
-    // semantics (concurrent clusters overlap their waits).
-    noc_contention_cycles = std::max(noc_contention_cycles,
-                                     o.noc_contention_cycles);
-    fifo_stall_cycles = std::max(fifo_stall_cycles, o.fifo_stall_cycles);
-    // ECC words/outcomes are activity counters (each cluster checks its own
-    // traffic); the cycle itemization follows the wall-clock timeline.
-    ecc_words += o.ecc_words;
-    ecc_corrected += o.ecc_corrected;
-    ecc_uncorrectable += o.ecc_uncorrectable;
-    ecc_cycles = std::max(ecc_cycles, o.ecc_cycles);
+#define SPK_MERGE_activity(name) name += o.name;
+#define SPK_MERGE_timeline(name) name = std::max(name, o.name);
+#define SPK_MERGE_COUNTER(name, rule) SPK_MERGE_##rule(name)
+    SPIKESTREAM_KERNEL_COUNTERS(SPK_MERGE_COUNTER)
+#undef SPK_MERGE_COUNTER
+#undef SPK_MERGE_timeline
+#undef SPK_MERGE_activity
     active_cores += o.active_cores;
     core_cycles.insert(core_cycles.end(), o.core_cycles.begin(),
                        o.core_cycles.end());

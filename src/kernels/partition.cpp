@@ -319,6 +319,10 @@ double Partitioner::layer_cost(const snn::LayerSpec& spec, int group) const {
 
 namespace {
 
+/// In-flight samples the stage planner amortizes fill/drain over: per-sample
+/// cost = (fill + (lanes - 1) * steady) / lanes.
+constexpr double kPlannerLanes = 8.0;
+
 /// Estimated inter-stage handoff after `spec` at planning density: the
 /// boundary layer's compressed spike payload crossing the fabric to the next
 /// stage's owner plus the per-spike FIFO enqueue on the producer.
@@ -361,7 +365,6 @@ StagePlan Partitioner::plan_pipeline(std::span<const snn::LayerSpec> layers,
   const int L = static_cast<int>(layers.size());
   SPK_CHECK(L > 0, "pipeline planning needs at least one layer");
   const int C = clusters_;
-  const double lanes = static_cast<double>(std::max(1, cfg.batch_lanes));
 
   // Per-layer service estimates at every group size that can occur, and the
   // boundary handoff after each layer.
@@ -448,7 +451,7 @@ StagePlan Partitioner::plan_pipeline(std::span<const snn::LayerSpec> layers,
       steady = std::max(steady, st.est_service_cycles);
       fill += st.est_service_cycles;
     }
-    return (fill + (lanes - 1.0) * steady) / lanes;
+    return (fill + (kPlannerLanes - 1.0) * steady) / kPlannerLanes;
   };
 
   auto classify = [&](const std::vector<PipelineStage>& stages) {
@@ -462,8 +465,7 @@ StagePlan Partitioner::plan_pipeline(std::span<const snn::LayerSpec> layers,
     return cfg.mode == ExecMode::kAuto || cfg.mode == mode;
   };
 
-  int s_max = std::min(C, L);
-  if (cfg.max_stages > 0) s_max = std::min(s_max, cfg.max_stages);
+  const int s_max = std::min(C, L);
 
   StagePlan best;
   double best_cost = std::numeric_limits<double>::infinity();

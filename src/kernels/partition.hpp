@@ -105,11 +105,6 @@ struct PipelineConfig {
   /// consumer drains room (backpressure); the batch-scope timeline itemizes
   /// those cycles in KernelStats::fifo_stall_cycles.
   int fifo_depth_spikes = 4096;
-  /// Upper bound on the stage count (0 = min(clusters, layers)).
-  int max_stages = 0;
-  /// Assumed in-flight samples when amortizing fill/drain in the planner's
-  /// cost query: per-sample cost = (fill + (B - 1) * steady) / B.
-  int batch_lanes = 8;
 };
 
 /// One pipeline stage: layers [layer_lo, layer_hi) on clusters
@@ -182,7 +177,7 @@ class Partitioner {
   /// hybrid for `net`: balance contiguous layer ranges across candidate
   /// stage counts (DP minimizing the max stage service, boundary handoffs
   /// priced via `noc`), then pick the mode with the lowest per-sample cost
-  /// amortized over cfg.batch_lanes in-flight samples. cfg.mode != kAuto
+  /// amortized over eight in-flight samples. cfg.mode != kAuto
   /// restricts the candidates to that mode's shape.
   StagePlan plan_pipeline(const snn::Network& net, const PipelineConfig& cfg,
                           const arch::NocParams& noc) const;

@@ -123,21 +123,13 @@ void plan_fc_segment_major(TilePlan& plan, const snn::LayerSpec& spec,
     c.resident = res;
     c.double_buffered = ddb;
     const double parked = B - static_cast<double>(res);
-    const double spill_payload =
-        2.0 * parked * (segs - 1.0) * tiles * acc_bytes / B;
+    c.spill_bytes = 2.0 * parked * (segs - 1.0) * tiles * acc_bytes / B;
     const double spill_runs = 2.0 * parked * (segs - 1.0) * tiles / B;
-    c.spill_bytes =
-        d.stored_bytes(d.payload_format, spill_payload, spill_runs);
-    const double w_bytes =
-        d.stored_bytes(d.weight_format, all_weights / B,
-                       static_cast<double>(bands) / B);
-    const arch::DramCost w = d.stream(w_bytes, static_cast<double>(bands) / B);
-    const double if_bytes = d.stored_bytes(
-        d.payload_format, tiles * ifmap_actual_bytes, tiles * segs);
-    const arch::DramCost ifm = d.stream(if_bytes, tiles * segs);
-    const double of_bytes =
-        d.stored_bytes(d.payload_format, ofmap_actual_bytes, tiles);
-    const arch::DramCost ofm = d.stream(of_bytes, tiles);
+    const arch::DramCost w =
+        d.stream(all_weights / B, static_cast<double>(bands) / B);
+    const arch::DramCost ifm =
+        d.stream(tiles * ifmap_actual_bytes, tiles * segs);
+    const arch::DramCost ofm = d.stream(ofmap_actual_bytes, tiles);
     const arch::DramCost sp = d.stream(c.spill_bytes, spill_runs);
     c.spill_cycles = sp.cycles;
     c.bytes = w.bytes + ifm.bytes + ofm.bytes + sp.bytes;
@@ -287,13 +279,9 @@ TilePlan plan_layer(const snn::LayerSpec& spec, common::FpFormat fmt,
     const double w_runs = stripes_d * tiles_d * segs_d;
     const double if_runs = stripes_d * segs_d;
     arch::DramCost c;
-    c.accumulate(
-        d.stream(d.stored_bytes(d.weight_format, w_traffic, w_runs), w_runs));
-    c.accumulate(d.stream(
-        d.stored_bytes(d.payload_format, if_traffic, if_runs), if_runs));
-    c.accumulate(d.stream(
-        d.stored_bytes(d.payload_format, ofmap_actual_bytes, tiles_d),
-        tiles_d));
+    c.accumulate(d.stream(w_traffic, w_runs));
+    c.accumulate(d.stream(if_traffic, if_runs));
+    c.accumulate(d.stream(ofmap_actual_bytes, tiles_d));
     plan.dma_bytes = c.bytes;
     plan.dma_cycles = c.cycles;
     plan.dma_row_hits = c.row_hits;
@@ -374,15 +362,10 @@ TilePlan plan_layer(const snn::LayerSpec& spec, common::FpFormat fmt,
         } else {
           const double w_runs = stripes * (tiles - pinned);
           arch::DramCost c;
-          c.accumulate(d.stream(
-              d.stored_bytes(d.weight_format, w_warm, w_runs), w_runs));
-          c.accumulate(d.stream(
-              d.stored_bytes(d.payload_format, ifmap_actual_bytes, stripes),
-              stripes));
-          c.accumulate(d.stream(
-              d.stored_bytes(d.payload_format, ofmap_actual_bytes,
-                             static_cast<double>(tiles)),
-              static_cast<double>(tiles)));
+          c.accumulate(d.stream(w_warm, w_runs));
+          c.accumulate(d.stream(ifmap_actual_bytes, stripes));
+          c.accumulate(
+              d.stream(ofmap_actual_bytes, static_cast<double>(tiles)));
           bytes_warm = c.bytes;
           cycles_warm = c.cycles;
           hits_warm = c.row_hits;
@@ -488,13 +471,10 @@ TilePlan plan_encode_layer(const snn::LayerSpec& spec, common::FpFormat fmt,
     // expansion streams sequentially per stripe; the compressed ofmap
     // writes back once per stripe.
     arch::DramCost c;
-    c.accumulate(
-        d.stream(d.stored_bytes(d.weight_format, w_bytes, 1.0), 1.0));
+    c.accumulate(d.stream(w_bytes, 1.0));
     arch::DramCost warm;
-    warm.accumulate(d.stream(
-        d.stored_bytes(d.payload_format, im2row_total, stripes_d), stripes_d));
-    warm.accumulate(d.stream(
-        d.stored_bytes(d.payload_format, of_traffic, stripes_d), stripes_d));
+    warm.accumulate(d.stream(im2row_total, stripes_d));
+    warm.accumulate(d.stream(of_traffic, stripes_d));
     c.accumulate(warm);
     plan.dma_bytes = c.bytes;
     plan.dma_cycles = c.cycles;

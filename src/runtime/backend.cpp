@@ -243,7 +243,7 @@ std::unique_ptr<ExecutionBackend> make_backend(
     case BackendKind::kAnalytical:
       return std::make_unique<AnalyticalBackend>(opt);
     case BackendKind::kCycleAccurate:
-      return std::make_unique<CycleAccurateBackend>(opt, cfg.iss_sample_spvas);
+      return std::make_unique<CycleAccurateBackend>(opt);
     case BackendKind::kSharded:
       return std::make_unique<ShardedBackend>(
           opt, cfg.clusters, cfg.shard_threads, cfg.partition, cfg.noc,

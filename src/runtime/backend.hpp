@@ -85,9 +85,6 @@ struct BackendConfig {
   /// costs less), prices each layer at its group width and charges the
   /// boundary FIFO handoffs. Off by default (historical behavior, bit-exact).
   kernels::PipelineConfig pipeline;
-  /// CycleAccurateBackend: SpVAs per ISS calibration run (larger = tighter
-  /// amortization of the microkernel prologue, slower calibration).
-  int iss_sample_spvas = 32;
 };
 
 /// One in-flight sample's borrowed buffers for a batch-scope layer call (see

@@ -15,6 +15,9 @@ namespace spikestream::runtime {
 namespace {
 
 constexpr int kWeightUniverse = 512;
+/// SpVAs per ISS calibration run: enough to amortize the microkernel
+/// prologue so the ratio tracks the per-element slope.
+constexpr int kSampleSpvas = 32;
 constexpr double kRatioLo = 0.5;  ///< sanity clamp: model and ISS are
 constexpr double kRatioHi = 2.0;  ///< cross-validated within ~15%
 
@@ -71,10 +74,8 @@ long dense_bucket_length(std::size_t idx) {
 
 }  // namespace
 
-CycleAccurateBackend::CycleAccurateBackend(const kernels::RunOptions& opt,
-                                           int sample_spvas)
-    : AnalyticalBackend(opt),
-      sample_spvas_(std::max(4, sample_spvas)) {
+CycleAccurateBackend::CycleAccurateBackend(const kernels::RunOptions& opt)
+    : AnalyticalBackend(opt) {
   sparse_cache_.fill(-1.0);
   dense_cache_.fill(-1.0);
   dense_no_tc_cache_.fill(-1.0);
@@ -119,7 +120,7 @@ double CycleAccurateBackend::sparse_ratio_bucket(std::size_t idx) const {
     // One long baseline SpVA amortizes the microkernel prologue so the ratio
     // tracks the per-element slope (Listing 1b).
     const int n = static_cast<int>(
-        std::min<long>(b * sample_spvas_, 4096L));
+        std::min<long>(b * kSampleSpvas, 4096L));
     const auto r = kernels::iss_baseline_spva(cl, w, rand_idcs(n, 11u + b));
     measured = static_cast<double>(r.cycles);
     modeled = kernels::baseline_spva_cycles(p, n);
@@ -127,15 +128,15 @@ double CycleAccurateBackend::sparse_ratio_bucket(std::size_t idx) const {
     // Back-to-back streamed SpVAs exercising the SSR shadow-register overlap
     // (Listing 1c), matching how the conv kernel issues them.
     std::vector<std::vector<std::uint16_t>> streams;
-    streams.reserve(static_cast<std::size_t>(sample_spvas_));
-    for (int j = 0; j < sample_spvas_; ++j) {
+    streams.reserve(static_cast<std::size_t>(kSampleSpvas));
+    for (int j = 0; j < kSampleSpvas; ++j) {
       streams.push_back(rand_idcs(static_cast<int>(b),
                                   100u + static_cast<std::uint64_t>(j)));
     }
     const auto r = kernels::iss_spikestream_spva_sequence(cl, w, streams);
     measured = static_cast<double>(r.cycles);
     modeled = kernels::spikestream_spva_cycles(p, static_cast<double>(b), 1.0) *
-              sample_spvas_;
+              kSampleSpvas;
   }
   const double ratio =
       std::clamp(modeled > 0 ? measured / modeled : 1.0, kRatioLo, kRatioHi);

@@ -20,8 +20,7 @@ namespace spikestream::runtime {
 
 class CycleAccurateBackend : public AnalyticalBackend {
  public:
-  explicit CycleAccurateBackend(const kernels::RunOptions& opt,
-                                int sample_spvas = 32);
+  explicit CycleAccurateBackend(const kernels::RunOptions& opt);
 
   const char* name() const override { return "cycle-accurate"; }
 
@@ -69,7 +68,6 @@ class CycleAccurateBackend : public AnalyticalBackend {
   /// DMA timeline and re-deriving the overlapped wall-clock cycles.
   void retime(kernels::LayerRun& run, double ratio) const;
 
-  int sample_spvas_;
   mutable std::mutex mu_;
   /// Fixed-capacity ratio caches indexed by logarithmic length bucket
   /// (~12% granularity, 6 buckets per octave), < 0 = not yet calibrated.

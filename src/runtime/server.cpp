@@ -6,6 +6,7 @@
 #include <span>
 #include <thread>
 
+#include "common/check.hpp"
 #include "runtime/backend_sharded.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -28,6 +29,32 @@ std::chrono::steady_clock::time_point to_time_point(std::uint64_t ns) {
 
 enum FireReason { kFullWave = 0, kDeadline = 1, kDrain = 2 };
 
+/// Deadline-fired waves at or below this fraction of the target shrink it.
+constexpr double kShrinkOccupancy = 0.5;
+
+const ServerConfig& checked(const ServerConfig& c) {
+  SPK_CHECK(c.queue_capacity >= 1, "ServerConfig::queue_capacity must be "
+                                   ">= 1, got " << c.queue_capacity);
+  SPK_CHECK(c.timesteps >= 1,
+            "ServerConfig::timesteps must be >= 1, got " << c.timesteps);
+  SPK_CHECK(c.max_queue_delay_us >= 0,
+            "ServerConfig::max_queue_delay_us must be >= 0, got "
+                << c.max_queue_delay_us);
+  SPK_CHECK(c.max_wave_lanes >= 0,
+            "ServerConfig::max_wave_lanes must be >= 0, got "
+                << c.max_wave_lanes);
+  SPK_CHECK(c.controller_streak >= 1,
+            "ServerConfig::controller_streak must be >= 1, got "
+                << c.controller_streak);
+  SPK_CHECK(c.max_wave_retries >= 0,
+            "ServerConfig::max_wave_retries must be >= 0, got "
+                << c.max_wave_retries);
+  SPK_CHECK(c.retry_backoff_us >= 0,
+            "ServerConfig::retry_backoff_us must be >= 0, got "
+                << c.retry_backoff_us);
+  return c;
+}
+
 }  // namespace
 
 InferenceServer::InferenceServer(const snn::Network& net,
@@ -35,17 +62,16 @@ InferenceServer::InferenceServer(const snn::Network& net,
                                  const BackendConfig& backend,
                                  const ServerConfig& server,
                                  const arch::EnergyParams& energy)
-    : engine_(net, opt, backend, energy),
-      cfg_(server),
+    : cfg_(checked(server)),
+      engine_(net, opt, backend, energy),
       max_lanes_(cfg_.max_wave_lanes > 0
                      ? cfg_.max_wave_lanes
                      : engine_.options().segment_major_lanes),
-      queue_(server.queue_capacity),
+      queue_(cfg_.queue_capacity),
       integrity_(engine_, cfg_.integrity, static_cast<std::size_t>(max_lanes_),
                  cfg_.faults.size()) {
   sharded_ = dynamic_cast<const ShardedBackend*>(&engine_.backend());
-  cfg_.min_wave_lanes = std::clamp(cfg_.min_wave_lanes, 1, max_lanes_);
-  delay_ns_ = std::max<std::int64_t>(0, cfg_.max_queue_delay_us) * 1000;
+  delay_ns_ = cfg_.max_queue_delay_us * 1000;
   // Throughput-safe start: the controller begins at full lanes and shrinks
   // only when sustained light load proves the latency win is free.
   target_lanes_.store(max_lanes_, std::memory_order_relaxed);
@@ -310,7 +336,6 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   integrity_.begin_wave(wave_index_, redundant);
   apply_fault_events();
 
-  const int timesteps = std::max(1, cfg_.timesteps);
   const std::uint64_t t_dispatch = now_ns();
   const std::size_t backlog = queue_.size_approx();
   for (std::size_t i = 0; i < wn; ++i) {
@@ -332,7 +357,7 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
   const auto run_attempt = [&](int attempt) {
     for (std::size_t i = 0; i < wn; ++i) {
       MultiStepResult& r = wave_[i]->result;
-      r.timesteps = timesteps;
+      r.timesteps = cfg_.timesteps;
       r.spike_counts.clear();
       r.cycles_per_step.clear();
       r.total_cycles = 0;
@@ -344,8 +369,8 @@ void InferenceServer::execute_wave(std::size_t wn, int target,
           wave_[i]->result.accumulate_step(step);
         },
         [&](bool is_primary) {
-          engine_.run_wave(is_primary ? primary : shadow, timesteps, pool,
-                           &integrity_);
+          engine_.run_wave(is_primary ? primary : shadow, cfg_.timesteps,
+                           pool, &integrity_);
         });
   };
 
@@ -457,7 +482,7 @@ int InferenceServer::update_controller(std::size_t wn, int target,
   const bool slack =
       fire_reason == kDeadline &&
       static_cast<double>(wn) <=
-          cfg_.shrink_occupancy * static_cast<double>(target);
+          kShrinkOccupancy * static_cast<double>(target);
   if (pressure) {
     ++grow_streak_;
     shrink_streak_ = 0;
@@ -471,15 +496,15 @@ int InferenceServer::update_controller(std::size_t wn, int target,
     grow_streak_ = 0;
     shrink_streak_ = 0;
   }
-  const int streak = std::max(1, cfg_.controller_streak);
+  const int streak = cfg_.controller_streak;
   int next = target;
   int flip = 0;
   if (grow_streak_ >= streak && target < max_lanes_) {
     next = std::min(max_lanes_, target * 2);
     grow_streak_ = 0;
     flip = 1;
-  } else if (shrink_streak_ >= streak && target > cfg_.min_wave_lanes) {
-    next = std::max(cfg_.min_wave_lanes, target / 2);
+  } else if (shrink_streak_ >= streak && target > 1) {
+    next = std::max(1, target / 2);
     shrink_streak_ = 0;
     flip = -1;
   }

@@ -36,9 +36,9 @@
 // SLO-aware wave sizing: a hysteresis-gated controller trades wave size for
 // latency. Full waves leaving a backlog
 // grow the target (×2 toward max_wave_lanes — throughput under heavy load);
-// deadline-fired waves at <= shrink_occupancy of the target shrink it (÷2
-// toward min_wave_lanes — a light-load request no longer waits for lanes it
-// cannot fill). Both need `controller_streak` *consecutive* waves of
+// deadline-fired waves at most half full shrink it (÷2 toward one lane — a
+// light-load request no longer waits for lanes it cannot fill). Both need
+// `controller_streak` *consecutive* waves of
 // evidence and the dead band between the two thresholds means steady load
 // never oscillates.
 //
@@ -251,33 +251,36 @@ struct ServeRequest {
   }
 };
 
+/// Server settings. InferenceServer's constructor throws spikestream::Error,
+/// naming the field, for a value outside the range its comment gives.
 struct ServerConfig {
-  std::size_t queue_capacity = 1024;  ///< admission ring (rounded up to 2^k)
-  int timesteps = 1;                  ///< LIF steps per request
-  /// Deadline: a partial wave fires once its oldest request has queued this
-  /// long, so light-load latency is bounded by one deadline + one service.
+  /// Admission ring, >= 1 (rounded up to a power of two, at least 2).
+  std::size_t queue_capacity = 1024;
+  int timesteps = 1;  ///< LIF steps per request, >= 1
+  /// Deadline, >= 0: a partial wave fires once its oldest request has queued
+  /// this long, so light-load latency is bounded by one deadline + one
+  /// service.
   std::int64_t max_queue_delay_us = 2000;
-  /// Wave-size bounds for the SLO controller. max_wave_lanes = 0 means
-  /// RunOptions::segment_major_lanes.
-  int min_wave_lanes = 1;
+  /// Upper wave-size bound for the SLO controller, >= 0 (0 means
+  /// RunOptions::segment_major_lanes). The controller never shrinks a wave
+  /// target below one lane.
   int max_wave_lanes = 0;
   /// SLO-aware sizing on/off (off = every wave targets max_wave_lanes).
   bool adaptive_wave = true;
-  /// Consecutive waves of evidence before the target moves (hysteresis).
+  /// Consecutive waves of evidence before the target moves (hysteresis),
+  /// >= 1.
   int controller_streak = 3;
-  /// Deadline-fired waves at or below this fraction of the target shrink it.
-  double shrink_occupancy = 0.5;
   /// Default per-request TTL (microseconds): a request still unexecuted this
   /// long after enqueue is shed with kTimedOut instead of served late.
   /// 0 = no deadline; ServeRequest::ttl_us overrides per request.
   std::int64_t default_ttl_us = 0;
   /// Transient-fault containment: a wave that throws TransientFault is
-  /// retried from a clean lane state up to this many times before its
+  /// retried from a clean lane state up to this many times (>= 0) before its
   /// requests fail with kError. Any other exception fails the wave
   /// immediately (still contained: the dispatcher keeps serving).
   int max_wave_retries = 2;
-  /// Linear backoff between retry attempts (attempt k sleeps k * this);
-  /// skipped while stopping so drain never dawdles.
+  /// Linear backoff between retry attempts (attempt k sleeps k * this),
+  /// >= 0; skipped while stopping so drain never dawdles.
   std::int64_t retry_backoff_us = 100;
   /// Deterministic fault schedule, keyed by wave index (never wall-clock).
   /// Structural events (fail-stop / slowdown / link degrade) are applied to
@@ -387,8 +390,8 @@ class InferenceServer {
   int update_controller(std::size_t wn, int target, int fire_reason,
                         std::size_t backlog);
 
+  ServerConfig cfg_;  ///< validated before the engine is built
   InferenceEngine engine_;
-  ServerConfig cfg_;
   int max_lanes_ = 1;
   std::int64_t delay_ns_ = 0;
   std::shared_ptr<WorkerPool> pool_;

@@ -1,11 +1,11 @@
 // Banked-DRAM model invariants (arch/dram): flat-legacy pricing is
 // bit-identical to the historical expressions, banked streams conserve bytes,
-// row-hit rates respond monotonically to run shape, packed storage never
-// moves more bytes than fixed-stride, and the double-buffered segment-major
-// spill/fill hides at most the spill streams' first-beat overhead — with
-// charged + hidden reconstructing the serial timeline exactly. Engine-level:
-// the memory model is timing-only, so spikes stay bit-identical between flat
-// and banked mode across every backend and cluster count.
+// row-hit rates respond monotonically to run shape, and the double-buffered
+// segment-major spill/fill hides at most the spill streams' first-beat
+// overhead — with charged + hidden reconstructing the serial timeline
+// exactly. Engine-level: the memory model is timing-only, so spikes stay
+// bit-identical between flat and banked mode across every backend and
+// cluster count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,25 +134,6 @@ TEST(Dram, StreamConservesBytesInBothModes) {
   }
 }
 
-TEST(Dram, PackedNeverExceedsFixedStrideBytes) {
-  const arch::DramConfig d = arch::DramConfig::banked();
-  for (const double payload : {64.0, 1000.0, 4096.0, 1.0e6}) {
-    for (const double records : {1.0, 7.0, 64.0, 513.0}) {
-      const double packed =
-          d.stored_bytes(arch::DramFormat::kPacked, payload, records);
-      const double strided =
-          d.stored_bytes(arch::DramFormat::kFixedStride, payload, records);
-      EXPECT_DOUBLE_EQ(packed, payload);
-      EXPECT_GE(strided, packed);
-      // Fixed stride pads to whole slots of the stride quantum.
-      const double slot = strided / records;
-      if (strided > payload) {
-        EXPECT_NEAR(std::fmod(slot, d.stride_quantum), 0.0, 1e-9);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // StreamReader — address-tracked open-row accounting.
 // ---------------------------------------------------------------------------
@@ -254,21 +235,6 @@ TEST(DramPlan, BankedConservesBytesAgainstFlat) {
     EXPECT_EQ(pb.in_segments, pf.in_segments) << spec.name;
     EXPECT_EQ(pb.if_stripes, pf.if_stripes) << spec.name;
   }
-}
-
-TEST(DramPlan, FixedStridePayloadsNeverCheaper) {
-  const snn::Network net = snn::Network::make_svgg11();
-  k::CostParams packed;
-  packed.dram = arch::DramConfig::banked();
-  k::CostParams strided = packed;
-  strided.dram.payload_format = arch::DramFormat::kFixedStride;
-  const auto& conv4 = net.layer(3);
-  const double ifb = csr_bytes_at_rate(conv4, 0.2);
-  const auto pp = k::plan_layer(conv4, sc::FpFormat::FP16, ifb, 1000.0, packed);
-  const auto ps =
-      k::plan_layer(conv4, sc::FpFormat::FP16, ifb, 1000.0, strided);
-  EXPECT_GE(ps.dma_bytes, pp.dma_bytes);
-  EXPECT_GE(ps.dma_cycles, pp.dma_cycles);
 }
 
 TEST(DramPlan, BandStreamsDominateRowHits) {

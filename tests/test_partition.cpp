@@ -28,6 +28,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "compress/csr_ifmap.hpp"
+#include "kernels/kernel_stats.hpp"
 #include "kernels/layer_kernels.hpp"
 #include "kernels/partition.hpp"
 #include "runtime/backend_sharded.hpp"
@@ -338,36 +339,12 @@ void put_rows(snn::Hwc<T>& full, const snn::Hwc<T>& part, int lo) {
 void expect_stats_identical(const k::KernelStats& got,
                             const k::KernelStats& want,
                             const std::string& where) {
-  using F = double k::KernelStats::*;
-  static const std::pair<const char*, F> kFields[] = {
-      {"cycles", &k::KernelStats::cycles},
-      {"compute_cycles", &k::KernelStats::compute_cycles},
-      {"dma_cycles", &k::KernelStats::dma_cycles},
-      {"fpu_ops", &k::KernelStats::fpu_ops},
-      {"fpu_mac_ops", &k::KernelStats::fpu_mac_ops},
-      {"int_instrs", &k::KernelStats::int_instrs},
-      {"tcdm_words", &k::KernelStats::tcdm_words},
-      {"ssr_elems", &k::KernelStats::ssr_elems},
-      {"dma_bytes", &k::KernelStats::dma_bytes},
-      {"dma_saved_bytes", &k::KernelStats::dma_saved_bytes},
-      {"dma_bytes_spill", &k::KernelStats::dma_bytes_spill},
-      {"noc_bytes", &k::KernelStats::noc_bytes},
-      {"dma_row_hits", &k::KernelStats::dma_row_hits},
-      {"dma_row_misses", &k::KernelStats::dma_row_misses},
-      {"dma_cycles_hidden", &k::KernelStats::dma_cycles_hidden},
-      {"noc_contention_cycles", &k::KernelStats::noc_contention_cycles},
-      {"fifo_stall_cycles", &k::KernelStats::fifo_stall_cycles},
-      {"ecc_words", &k::KernelStats::ecc_words},
-      {"ecc_corrected", &k::KernelStats::ecc_corrected},
-      {"ecc_uncorrectable", &k::KernelStats::ecc_uncorrectable},
-      {"ecc_cycles", &k::KernelStats::ecc_cycles},
-  };
-  for (const auto& [name, field] : kFields) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.*field),
-              std::bit_cast<std::uint64_t>(want.*field))
-        << where << " " << name << ": " << got.*field << " vs "
-        << want.*field;
-  }
+#define SPK_EXPECT_IDENTICAL(field, rule)                              \
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.field),                   \
+            std::bit_cast<std::uint64_t>(want.field))                  \
+      << where << " " #field ": " << got.field << " vs " << want.field;
+  SPIKESTREAM_KERNEL_COUNTERS(SPK_EXPECT_IDENTICAL)
+#undef SPK_EXPECT_IDENTICAL
   EXPECT_EQ(got.active_cores, want.active_cores) << where;
   ASSERT_EQ(got.core_cycles.size(), want.core_cycles.size()) << where;
   for (std::size_t c = 0; c < got.core_cycles.size(); ++c) {

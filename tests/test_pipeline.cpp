@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/kernel_stats.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/multistep.hpp"
@@ -55,31 +56,12 @@ void expect_equal_runs(const std::vector<rt::MultiStepResult>& a,
 /// Every KernelStats field, bit for bit.
 void expect_same_stats(const k::KernelStats& a, const k::KernelStats& b,
                        const std::string& where) {
-#define SPK_EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << where << " " #field
-  SPK_EXPECT_SAME(cycles);
-  SPK_EXPECT_SAME(compute_cycles);
-  SPK_EXPECT_SAME(dma_cycles);
-  SPK_EXPECT_SAME(fpu_ops);
-  SPK_EXPECT_SAME(fpu_mac_ops);
-  SPK_EXPECT_SAME(int_instrs);
-  SPK_EXPECT_SAME(tcdm_words);
-  SPK_EXPECT_SAME(ssr_elems);
-  SPK_EXPECT_SAME(dma_bytes);
-  SPK_EXPECT_SAME(dma_saved_bytes);
-  SPK_EXPECT_SAME(dma_bytes_spill);
-  SPK_EXPECT_SAME(noc_bytes);
-  SPK_EXPECT_SAME(dma_row_hits);
-  SPK_EXPECT_SAME(dma_row_misses);
-  SPK_EXPECT_SAME(dma_cycles_hidden);
-  SPK_EXPECT_SAME(noc_contention_cycles);
-  SPK_EXPECT_SAME(fifo_stall_cycles);
-  SPK_EXPECT_SAME(ecc_words);
-  SPK_EXPECT_SAME(ecc_corrected);
-  SPK_EXPECT_SAME(ecc_uncorrectable);
-  SPK_EXPECT_SAME(ecc_cycles);
-  SPK_EXPECT_SAME(active_cores);
-  SPK_EXPECT_SAME(core_cycles);
+#define SPK_EXPECT_SAME(field, rule) \
+  EXPECT_EQ(a.field, b.field) << where << " " #field;
+  SPIKESTREAM_KERNEL_COUNTERS(SPK_EXPECT_SAME)
 #undef SPK_EXPECT_SAME
+  EXPECT_EQ(a.active_cores, b.active_cores) << where;
+  EXPECT_EQ(a.core_cycles, b.core_cycles) << where;
 }
 
 /// Conv layers with enough spikes to split into several row tiles per lane,

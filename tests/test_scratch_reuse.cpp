@@ -306,7 +306,6 @@ TEST(ScratchReuse, StreamReaderAccountingNeverAllocates) {
   for (int r = 0; r < 1000; ++r) {
     rd.stream(1.0e6, 64.0);
     rd.write(4096.0, 2.0);
-    rd.stream_records(arch::DramFormat::kFixedStride, 8192.0, 32.0, 4.0);
     rd.touch(static_cast<std::uint64_t>(r) * 4096, 2048);
   }
   rd.reset();

@@ -13,15 +13,18 @@
 //   * the SLO wave-size controller shrinks under sustained light load and
 //     grows back under backlog, with hysteresis — no oscillation;
 //   * idle threads (worker pool and server dispatcher) block, not spin —
-//     pinned by a CPU-time budget over a wall-clock idle window.
+//     pinned by a CPU-time budget over a wall-clock idle window;
+//   * a malformed ServerConfig fails at construction, naming the field.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/server.hpp"
@@ -170,6 +173,54 @@ TEST(MpscQueue, FullRingRejectsAndRecovers) {
     EXPECT_EQ(v, i);
   }
   EXPECT_FALSE(q.try_pop(v));
+}
+
+TEST(Server, RejectsMalformedConfig) {
+  // Every out-of-range ServerConfig value must fail at construction, naming
+  // its field, instead of being clamped or reinterpreted on every wave
+  // (timesteps < 1 used to run one step, a negative delay or backoff acted
+  // as 0, a negative max_wave_lanes fell back to segment_major_lanes,
+  // queue_capacity 0 built a 2-slot ring).
+  const snn::Network net = test_net();
+  struct Case {
+    const char* field;
+    void (*set)(rt::ServerConfig&);
+  };
+  const Case cases[] = {
+      {"queue_capacity", [](rt::ServerConfig& c) { c.queue_capacity = 0; }},
+      {"timesteps", [](rt::ServerConfig& c) { c.timesteps = 0; }},
+      {"timesteps", [](rt::ServerConfig& c) { c.timesteps = -3; }},
+      {"max_queue_delay_us",
+       [](rt::ServerConfig& c) { c.max_queue_delay_us = -1; }},
+      {"max_wave_lanes", [](rt::ServerConfig& c) { c.max_wave_lanes = -1; }},
+      {"controller_streak",
+       [](rt::ServerConfig& c) { c.controller_streak = 0; }},
+      {"max_wave_retries",
+       [](rt::ServerConfig& c) { c.max_wave_retries = -1; }},
+      {"retry_backoff_us",
+       [](rt::ServerConfig& c) { c.retry_backoff_us = -5; }},
+  };
+  for (const Case& c : cases) {
+    rt::ServerConfig cfg;
+    c.set(cfg);
+    try {
+      rt::InferenceServer server(net, k::RunOptions{}, {}, cfg);
+      ADD_FAILURE() << c.field << " out of range was accepted";
+    } catch (const spikestream::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("ServerConfig::") +
+                                           c.field),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The boundary values are well-formed.
+  rt::ServerConfig edge;
+  edge.queue_capacity = 1;
+  edge.max_queue_delay_us = 0;
+  edge.controller_streak = 1;
+  edge.max_wave_retries = 0;
+  edge.retry_backoff_us = 0;
+  EXPECT_NO_THROW(rt::InferenceServer(net, k::RunOptions{}, {}, edge));
 }
 
 TEST(InferenceServer, SubmitAfterStopRejects) {
